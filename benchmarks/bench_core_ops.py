@@ -120,6 +120,39 @@ def test_wire_frame_roundtrip(benchmark):
     assert frame.payload == payload
 
 
+def _query_reply_rows(nrows=597, ncols=8):
+    """query_mix's mean reply: 812,101 rows over 1,360 replies."""
+    return [(float(i), 1 + i % 64, tuple(float(i * ncols + j) for j in range(ncols)))
+            for i in range(nrows)]
+
+
+def test_query_reply_frame_body(benchmark):
+    """The served encode: a reply header in front of stored row bytes."""
+    rows = _query_reply_rows()
+    names = tuple(f"m{j}" for j in range(8))
+    body = wire.pack_query_rows(rows, len(names))
+    out = benchmark(wire.pack_query_reply, wire.E_OK, names,
+                    flags=wire.QUERY_CACHE_HIT, body=body)
+    assert out == wire.pack_query_reply(wire.E_OK, names, rows,
+                                        wire.QUERY_CACHE_HIT)
+
+
+def test_query_reply_encode_rows(benchmark):
+    """Encoding the same reply from decoded row tuples."""
+    rows = _query_reply_rows()
+    names = tuple(f"m{j}" for j in range(8))
+    out = benchmark(wire.pack_query_reply, wire.E_OK, names, rows)
+    assert len(out) > 597 * wire.query_row_size(8)
+
+
+def test_query_reply_decode(benchmark):
+    """The client's one-pass decode of a 597-row x 8-column reply."""
+    rows = _query_reply_rows()
+    payload = wire.pack_query_reply(wire.E_OK, tuple(f"m{j}" for j in range(8)), rows)
+    status, flags, names, out = benchmark(wire.unpack_query_reply, payload)
+    assert out == rows
+
+
 def test_arena_alloc_free(benchmark):
     arena = Arena(1 << 20)
 

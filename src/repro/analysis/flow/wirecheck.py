@@ -39,6 +39,10 @@ from repro.analysis.flow.report import ChainFrame, FlowViolation
 
 _VAR_MARKER = "\x01"
 
+#: ``struct`` functions (and ``Struct`` methods) whose first argument is
+#: the format of the bytes they write or read.
+_STRUCT_CALLS = ("pack", "pack_into", "unpack", "unpack_from", "iter_unpack")
+
 # A stream element is either ("code", count_str) for a scalar field or
 # ("loop", inner_tuple) for a group packed/unpacked once per entry.
 StreamItem = tuple[str, object]
@@ -250,15 +254,16 @@ class _WireVisitor(ast.NodeVisitor):
         if callee is None:
             return
         fmt_node: ast.expr | None = None
-        if callee in ("struct.pack", "struct.pack_into", "struct.unpack", "struct.unpack_from"):
+        head, _, method = callee.rpartition(".")
+        # iter_unpack decodes a whole run of entries: a loop by itself.
+        repeated = repeated or method == "iter_unpack"
+        if head == "struct" and method in _STRUCT_CALLS:
             if node.args:
                 fmt_node = node.args[0]
-        else:
-            head, _, method = callee.rpartition(".")
-            if method in ("pack", "pack_into", "unpack", "unpack_from") and head in self.struct_consts:
-                fmt = self.str_consts[head]
-                events.append(self._event(fmt, node.lineno, repeated))
-                return
+        elif method in _STRUCT_CALLS and head in self.struct_consts:
+            fmt = self.str_consts[head]
+            events.append(self._event(fmt, node.lineno, repeated))
+            return
         if fmt_node is None:
             return
         fmt = _fmt_skeleton(fmt_node, self.str_consts)

@@ -51,6 +51,8 @@ def main(argv: list[str] | None = None) -> int:
                    help="truncate the result (0: unbounded)")
     args = p.parse_args(argv)
 
+    from repro.core import wire
+
     if args.path is not None:
         from repro.plugins.stores.sos import SosReader, rollup_schema
 
@@ -62,36 +64,30 @@ def main(argv: list[str] | None = None) -> int:
             print(f"cannot open container {container!r}: {exc}",
                   file=sys.stderr)
             return 1
-        rows = []
-        for rec in reader.range(args.t0, args.t1):
-            if args.comp_id and rec.component_id != args.comp_id:
-                continue
-            if args.max_records and len(rows) >= args.max_records:
-                break
-            rows.append((rec.timestamp, rec.component_id, rec.values))
-        _print_rows(reader.metric_names, rows)
-        return 0
-
-    if args.host is None or args.port is None:
+        names = reader.metric_names
+        body, _, truncated = reader.range_rows(
+            args.t0, args.t1, args.comp_id, args.max_records)
+        rows = wire.unpack_query_rows(body, len(names))
+    elif args.host is None or args.port is None:
         print("need --path (offline) or --host/--port (live)",
               file=sys.stderr)
         return 2
+    else:
+        from repro.cli.client import SyncClient
 
-    from repro.cli.client import SyncClient
-    from repro.core import wire
-
-    client = SyncClient(args.host, args.port)
-    try:
-        status, flags, names, rows = client.query(
-            args.schema, args.t0, args.t1, level=args.level,
-            comp_id=args.comp_id, max_records=args.max_records)
-    finally:
-        client.close()
-    if status != wire.E_OK:
-        print(f"query failed: status {status}", file=sys.stderr)
-        return 1
+        client = SyncClient(args.host, args.port)
+        try:
+            status, flags, names, rows = client.query(
+                args.schema, args.t0, args.t1, level=args.level,
+                comp_id=args.comp_id, max_records=args.max_records)
+        finally:
+            client.close()
+        if status != wire.E_OK:
+            print(f"query failed: status {status}", file=sys.stderr)
+            return 1
+        truncated = bool(flags & wire.QUERY_TRUNCATED)
     _print_rows(names, rows)
-    if flags & wire.QUERY_TRUNCATED:
+    if truncated:
         print(f"(truncated at {args.max_records} records)", file=sys.stderr)
     return 0
 

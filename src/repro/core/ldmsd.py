@@ -47,7 +47,7 @@ from repro.obs.spans import HOP_SAMPLE, HOP_STORE
 from repro.sim.resources import CpuCore
 from repro.sim.shard import runtime_snapshot as shard_runtime_snapshot
 from repro.transport.base import Endpoint, Listener, Transport
-from repro.util.errors import ConfigError, OutOfMemory, StoreError
+from repro.util.errors import ConfigError, OutOfMemory, ProtocolError, StoreError
 from repro.util.rngtools import stable_seed
 from repro.util.units import parse_size
 
@@ -623,8 +623,17 @@ class Ldmsd:
         leaves at the end of a busy window sized by the actual result —
         and served latency quantiles include queueing behind the update
         pipeline on the same pool.  (RealEnv pools never evaluate the
-        cost callable; the reply closure runs the query there.)
+        cost callable; the reply closure runs the query there.)  A
+        malformed request is dropped and counted as ``query.malformed``.
         """
+        try:
+            schema, t0, t1, level, comp_id, max_records = (
+                wire.unpack_query_req(frame.payload))
+        except ProtocolError:
+            # Dropped: nothing to answer.  Looked up here, not bound at
+            # construction, so the error path costs daemons nothing.
+            self.obs.counter("query.malformed").inc()
+            return
         eng = self.query_engine
         rid = frame.request_id
         if eng is None:
@@ -632,8 +641,6 @@ class Ldmsd:
                 wire.MsgType.QUERY_REPLY, rid,
                 wire.pack_query_reply(wire.E_NOENT)))
             return
-        schema, t0, t1, level, comp_id, max_records = wire.unpack_query_req(
-            frame.payload)
         t_start = self.env.now()
         holder: list = []
 
@@ -641,7 +648,7 @@ class Ldmsd:
             res = eng.query(schema, t0, t1, level=level, comp_id=comp_id,
                             max_records=max_records)
             holder.append(res)
-            return QUERY_BASE_COST + QUERY_PER_ROW_COST * len(res.rows)
+            return QUERY_BASE_COST + QUERY_PER_ROW_COST * res.nrows
 
         def reply() -> None:
             with self.lock:
@@ -653,9 +660,7 @@ class Ldmsd:
                 self._h_query.observe(self.env.now() - t_start)
                 if not endpoint.closed:
                     endpoint.send(wire.encode_frame(
-                        wire.MsgType.QUERY_REPLY, rid,
-                        wire.pack_query_reply(res.status, res.names,
-                                              res.rows, res.flags())))
+                        wire.MsgType.QUERY_REPLY, rid, res.payload()))
 
         self.worker_pool.submit(reply, cost=run_query, core=self.core,
                                 tag="query")

@@ -40,7 +40,7 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.core.metric_set import SetInfo
-from repro.util.errors import ReproError
+from repro.util.errors import ProtocolError
 
 __all__ = [
     "MsgType",
@@ -66,6 +66,9 @@ __all__ = [
     "unpack_query_req",
     "pack_query_reply",
     "unpack_query_reply",
+    "pack_query_rows",
+    "unpack_query_rows",
+    "query_row_size",
     "QUERY_TRUNCATED",
     "QUERY_CACHE_HIT",
     "TRACE_FLAG",
@@ -184,7 +187,7 @@ class FrameDecoder:
             while end - pos >= 4:
                 (flen,) = _LEN_STRUCT.unpack_from(buf, pos)
                 if flen < _HDR_SIZE - 4:
-                    raise ReproError(f"corrupt frame length {flen}")
+                    raise ProtocolError(f"corrupt frame length {flen}")
                 if end - pos < 4 + flen:
                     break
                 _, mtype, rid = _HDR_STRUCT.unpack_from(buf, pos)
@@ -215,12 +218,12 @@ def decode_frame(raw: bytes) -> Frame:
     Decodes directly from the buffer — no intermediate decoder state.
     """
     if len(raw) < _HDR_SIZE:
-        raise ReproError(f"expected exactly one frame, got a {len(raw)}-byte fragment")
+        raise ProtocolError(f"expected exactly one frame, got a {len(raw)}-byte fragment")
     flen, mtype, rid = _HDR_STRUCT.unpack_from(raw, 0)
     if flen < _HDR_SIZE - 4:
-        raise ReproError(f"corrupt frame length {flen}")
+        raise ProtocolError(f"corrupt frame length {flen}")
     if 4 + flen != len(raw):
-        raise ReproError(
+        raise ProtocolError(
             f"expected exactly one {4 + flen}-byte frame, got {len(raw)} bytes"
         )
     if mtype & TRACE_FLAG:
@@ -386,12 +389,35 @@ def unpack_read_multi_reply(payload: bytes) -> list[bytes | None]:
 #           max_records 0 means unbounded.
 # Reply:    i32 status | u8 flags | u32 ncols | ncols x (u16 len | name)
 #           | u32 nrows | nrows x (f64 ts | u32 comp_id | ncols x f64)
+#
+# The reply's row layout is the SOS record (plugins.stores.sos) minus
+# its u32 card field, so the store hands the query tier each row
+# encoded once at ingest and a served reply is a header in front of
+# bytes already held (``pack_query_reply(..., body=)``).
+#
+# Both decoders fail closed: every length field is checked against the
+# bytes left before anything is unpacked or allocated, and malformed
+# input raises ProtocolError only.
 # ---------------------------------------------------------------------------
 
 #: Reply flag bits: the row set was cut at ``max_records``; the reply
 #: was served from the hot-window / LRU cache.
 QUERY_TRUNCATED = 0x01
 QUERY_CACHE_HIT = 0x02
+
+_QUERY_REQ_SIZE = struct.calcsize("<ddIIIH")
+
+
+def query_row_size(ncols: int) -> int:
+    """Bytes of one QUERY row: ``f64 ts | u32 comp_id | ncols x f64``."""
+    return 12 + 8 * ncols
+
+
+def _utf8(raw) -> str:
+    try:
+        return str(raw, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"QUERY name is not UTF-8: {exc}") from None
 
 
 def pack_query_req(schema: str, t0: float, t1: float, level: int = 0,
@@ -401,43 +427,73 @@ def pack_query_req(schema: str, t0: float, t1: float, level: int = 0,
 
 
 def unpack_query_req(payload: bytes) -> tuple[str, float, float, int, int, int]:
+    if len(payload) < _QUERY_REQ_SIZE:
+        raise ProtocolError(f"QUERY_REQ of {len(payload)} bytes: "
+                            f"the header alone is {_QUERY_REQ_SIZE}")
     t0, t1, level, comp_id, max_records, n = struct.unpack_from("<ddIIIH", payload, 0)
-    schema = payload[30 : 30 + n].decode("utf-8")
+    if len(payload) != _QUERY_REQ_SIZE + n:
+        raise ProtocolError(f"QUERY_REQ schema of {n} bytes in a "
+                            f"{len(payload)}-byte payload")
+    schema = _utf8(payload[30 : 30 + n])
     return schema, t0, t1, level, comp_id, max_records
 
 
+def pack_query_rows(rows, ncols: int) -> bytes:
+    """Encode ``(ts, comp_id, values)`` rows in the QUERY row layout."""
+    return b"".join([struct.pack(f"<dI{ncols}d", ts, comp_id, *values)
+                     for ts, comp_id, values in rows])
+
+
+def unpack_query_rows(body, ncols: int) -> list:
+    """Decode a row block in one pass: ``[(ts, comp_id, values)]``."""
+    if len(body) % query_row_size(ncols):
+        raise ProtocolError(f"QUERY row block of {len(body)} bytes is not "
+                            f"whole {query_row_size(ncols)}-byte rows")
+    return [(r[0], r[1], r[2:])
+            for r in struct.iter_unpack(f"<dI{ncols}d", body)]
+
+
 def pack_query_reply(status: int, names: tuple[str, ...] = (),
-                     rows: list | tuple = (), flags: int = 0) -> bytes:
+                     rows: list | tuple = (), flags: int = 0,
+                     body: bytes | None = None) -> bytes:
+    """A QUERY_REPLY payload.  ``body`` is a block of rows already in
+    the QUERY row layout (the query tier's stored form); without it
+    ``rows`` are encoded here."""
     out = [struct.pack("<iBI", status, flags, len(names))]
     for name in names:
         b = name.encode("utf-8")
         out.append(struct.pack("<H", len(b)))
         out.append(b)
-    out.append(struct.pack("<I", len(rows)))
-    for ts, comp_id, values in rows:
-        out.append(struct.pack("<dI", ts, comp_id))
-        out.append(struct.pack(f"<{len(names)}d", *values))
+    if body is None:
+        body = pack_query_rows(rows, len(names))
+    out.append(struct.pack("<I", len(body) // query_row_size(len(names))))
+    out.append(body)
     return b"".join(out)
 
 
 def unpack_query_reply(payload: bytes) -> tuple[int, int, tuple[str, ...], list]:
+    end = len(payload)
+    if end < 13:
+        raise ProtocolError(f"QUERY_REPLY of {end} bytes: at least 13 needed")
     status, flags, ncols = struct.unpack_from("<iBI", payload, 0)
+    if 13 + 2 * ncols > end:
+        raise ProtocolError(f"QUERY_REPLY claims {ncols} columns in {end} bytes")
     pos = 9
     names = []
     for _ in range(ncols):
         (n,) = struct.unpack_from("<H", payload, pos)
         pos += 2
-        names.append(payload[pos : pos + n].decode("utf-8"))
+        if pos + n + 4 > end:
+            raise ProtocolError(f"QUERY_REPLY column name of {n} bytes "
+                                f"overruns the payload")
+        names.append(_utf8(payload[pos : pos + n]))
         pos += n
     (nrows,) = struct.unpack_from("<I", payload, pos)
     pos += 4
-    rows = []
-    for _ in range(nrows):
-        ts, comp_id = struct.unpack_from("<dI", payload, pos)
-        pos += 12
-        values = struct.unpack_from(f"<{ncols}d", payload, pos)
-        pos += 8 * ncols
-        rows.append((ts, comp_id, values))
+    if nrows * query_row_size(ncols) != end - pos:
+        raise ProtocolError(f"QUERY_REPLY claims {nrows} rows of {ncols} "
+                            f"columns; {end - pos} bytes follow")
+    rows = unpack_query_rows(memoryview(payload)[pos:], ncols)
     return status, flags, tuple(names), rows
 
 

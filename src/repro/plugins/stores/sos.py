@@ -30,11 +30,13 @@ stored faithfully; heterogeneous rows are rejected loudly (counted in
 ``multi_component_rejected``, exported via ``ldmsd_self``) rather than
 silently dropping ``component_ids[1:]``.
 
-:class:`SosReader` provides the query side (used by the analysis
-modules and the query tier): iterate records in time order, or select
-a ``[t0, t1)`` time range.  The index is sorted ``(timestamp, offset)``
-at load — store-arrival timestamps are *not* monotone across multiple
-producers or phase-staggered samplers, so the raw append order is not
+:class:`SosReader` provides the query side (used by the query tier and
+``repro-query``): read a ``[t0, t1)`` time range as wire QUERY rows
+(:meth:`SosReader.range_rows` — a record minus its ``card`` field is a
+QUERY row, so a served scan decodes no value), or as decoded records.
+The index is sorted ``(timestamp, offset)`` at load — store-arrival
+timestamps are *not* monotone across multiple producers or
+phase-staggered samplers, so the raw append order is not
 binary-searchable.
 """
 
@@ -42,12 +44,14 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterator, Optional
 
 from repro.core.store import StorePlugin, StoreRecord, register_store
+from repro.core.wire import unpack_query_rows
 from repro.util.errors import ConfigError, StoreError
 
 __all__ = ["SosStore", "SosReader", "rollup_schema"]
@@ -114,7 +118,7 @@ class SosStore(StorePlugin):
         self.rows_written: dict[str, int] = {}
         #: Heterogeneous-component records rejected (ldmsd_self).
         self.multi_component_rejected = 0
-        self._observer: Optional[Callable[[str, float, int, tuple], None]] = None
+        self._observer: Optional[Callable[[str, float, bytes], None]] = None
 
     @staticmethod
     def _parse_rollups(spec) -> tuple[int, ...]:
@@ -129,10 +133,11 @@ class SosStore(StorePlugin):
             raise ConfigError(f"sos: rollup levels must be positive: {spec!r}")
         return tuple(levels)
 
-    def set_observer(self, fn: Optional[Callable[[str, float, int, tuple], None]]) -> None:
+    def set_observer(self, fn: Optional[Callable[[str, float, bytes], None]]) -> None:
         """Install the per-append hook (the query engine's hot-window
-        feed): ``fn(container, timestamp, comp_id, values)`` fires for
-        every base and rollup record written."""
+        feed): ``fn(container, timestamp, row)`` fires for every base
+        and rollup record written, ``row`` being the record in the wire
+        QUERY row layout (the record minus ``card``)."""
         self._observer = fn
 
     # -- container handling -------------------------------------------------
@@ -173,14 +178,15 @@ class SosStore(StorePlugin):
                 values: list[float]) -> None:
         df, xf = self._data[schema], self._index[schema]
         offset = df.tell()
-        payload = _REC_HDR.pack(ts, comp_id, len(values))
-        payload += struct.pack(f"<{len(values)}d", *values)
-        df.write(payload)
+        head = _REC_HDR.pack(ts, comp_id, len(values))
+        vals = struct.pack(f"<{len(values)}d", *values)
+        df.write(head + vals)
         xf.write(_IDX_ENT.pack(ts, offset))
-        self._bytes += len(payload) + _IDX_ENT.size
+        self._bytes += len(head) + len(vals) + _IDX_ENT.size
         self.rows_written[schema] = self.rows_written.get(schema, 0) + 1
         if self._observer is not None:
-            self._observer(schema, ts, comp_id, tuple(values))
+            # The QUERY row: this record minus its card field.
+            self._observer(schema, ts, head[:12] + vals)
 
     def store(self, record: StoreRecord) -> None:
         schema = self._handle(record)
@@ -283,6 +289,7 @@ class SosReader:
             meta = json.load(f)
         self.schema = schema
         self.metric_names: list[str] = meta["metrics"]
+        self._rec_size = _REC_HDR.size + 8 * len(self.metric_names)
         self._data_path = base + ".sos"
         self._idx_path = base + ".sidx"
         self._times: list[float] = []
@@ -317,27 +324,50 @@ class SosReader:
     def __len__(self) -> int:
         return len(self._times)
 
-    def _read_at(self, f: BinaryIO, offset: int) -> SosRecord:
-        f.seek(offset)
-        hdr = f.read(_REC_HDR.size)
-        ts, comp_id, card = _REC_HDR.unpack(hdr)
-        vals = struct.unpack(f"<{card}d", f.read(8 * card))
-        return SosRecord(ts, comp_id, vals)
-
     def __iter__(self) -> Iterator[SosRecord]:
+        return iter(self.range(-math.inf, math.inf))
+
+    def range_rows(self, t0: float, t1: float, comp_id: int = 0,
+                   max_records: int = 0) -> tuple[bytes, int, bool]:
+        """Records with t0 <= timestamp < t1, in time order, as one
+        block of wire QUERY rows (each record minus its ``card``
+        field): ``(body, nrows, truncated)``.
+
+        ``comp_id`` 0 keeps every component.  ``max_records`` 0 is
+        unbounded; otherwise the rows stop there and ``truncated`` says
+        a further matching record existed.  One read covers the span of
+        the data file that holds the range's records.
+        """
+        lo = bisect.bisect_left(self._times, t0)
+        hi = bisect.bisect_left(self._times, t1, lo)
+        offsets = self._offsets[lo:hi]
+        if not offsets:
+            return b"", 0, False
+        size = self._rec_size
+        first = min(offsets)
+        span = max(offsets) + size - first
         with open(self._data_path, "rb") as f:
-            for off in self._offsets:
-                yield self._read_at(f, off)
+            f.seek(first)
+            buf = f.read(span)
+        if len(buf) != span:
+            raise StoreError(f"sos: {self.schema!r} data file is shorter "
+                             f"than its index")
+        pos = [o - first for o in offsets]
+        if comp_id:
+            key = comp_id.to_bytes(4, "little")
+            pos = [p for p in pos if buf[p + 8 : p + 12] == key]
+        truncated = bool(max_records) and len(pos) > max_records
+        if truncated:
+            pos = pos[:max_records]
+        body = b"".join([buf[p : p + 12] + buf[p + 16 : p + size]
+                         for p in pos])
+        return body, len(pos), truncated
 
     def range(self, t0: float, t1: float) -> list[SosRecord]:
         """Records with t0 <= timestamp < t1, via the sorted index."""
-        lo = bisect.bisect_left(self._times, t0)
-        hi = bisect.bisect_left(self._times, t1)
-        out = []
-        with open(self._data_path, "rb") as f:
-            for i in range(lo, hi):
-                out.append(self._read_at(f, self._offsets[i]))
-        return out
+        body = self.range_rows(t0, t1)[0]
+        return [SosRecord(*row)
+                for row in unpack_query_rows(body, len(self.metric_names))]
 
 
 def _sorted_pairs(pairs: list[tuple[float, int]]) -> bool:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core import wire
+from repro.util.errors import ProtocolError
 
 __all__ = ["ClientMix", "QueryClient", "Poller", "AlertEvaluator",
            "RangeScanner", "build_population"]
@@ -84,6 +85,8 @@ class QueryClient:
         self.truncated = 0
         self.cache_hits_seen = 0
         self.skipped_nofeature = 0
+        #: Replies dropped because they did not decode.
+        self.malformed = 0
         self._pending: dict[int, float] = {}
         self._rid = 0
         self._k = 0
@@ -137,14 +140,23 @@ class QueryClient:
         raise NotImplementedError
 
     def _on_message(self, raw: bytes) -> None:
-        frame = wire.decode_frame(raw)
+        try:
+            frame = wire.decode_frame(raw)
+        except ProtocolError:
+            self.malformed += 1
+            return
         if frame.msg_type != wire.MsgType.QUERY_REPLY:
             return
         t_sent = self._pending.pop(frame.request_id, None)
         if t_sent is None:
             return
         self.hist.observe(self.env.now() - t_sent)
-        status, flags, names, rows = wire.unpack_query_reply(frame.payload)
+        try:
+            status, flags, names, rows = wire.unpack_query_reply(
+                frame.payload)
+        except ProtocolError:
+            self.malformed += 1
+            return
         self.replies += 1
         if status != wire.E_OK:
             self.errors += 1

@@ -2,15 +2,20 @@
 
 Serving structure (the CMS monitoring workload, PAPERS.md):
 
+* **Rows are bytes, encoded once** — the attached
+  :class:`~repro.plugins.stores.sos.SosStore` hands over every record
+  it appends (base and rollup) already in the wire QUERY row layout
+  (the SOS record minus its ``card`` field).  Every path below answers
+  with a block of such rows, and the daemon puts a reply header in
+  front of it: no served row is ever decoded or re-encoded.
 * **Hot window** — dashboard pollers overwhelmingly ask for the last
-  few seconds of data.  Every record the attached
-  :class:`~repro.plugins.stores.sos.SosStore` appends (base and
-  rollup) is also pushed into a bounded per-container deque; a query
-  whose window lies entirely inside the covered span is answered from
-  memory without touching the container files.
+  few seconds of data.  Each container keeps its recent rows in time
+  order (inserted from the right, equal timestamps in append order);
+  a query whose window lies entirely inside the covered span is two
+  bisects and a join, without touching the container files.
 * **LRU result cache** — repeated identical queries (alert evaluators
   re-checking a rollup window, several dashboards showing one panel)
-  return the cached row set.  Validity is by append-version: the store
+  return the cached row block as it is.  Validity is by append-version: the store
   counts appends per container, and a cached entry is good only while
   its container's count is unchanged, so a cache hit can never serve a
   stale row set.
@@ -26,9 +31,10 @@ same-seed byte-identical replay the experiments assert.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.core import wire
 from repro.plugins.stores.sos import SosReader, SosStore, rollup_schema
@@ -40,16 +46,23 @@ _INF = float("inf")
 
 @dataclass(frozen=True)
 class QueryResult:
-    """One answered query: wire status, column names, and rows of
-    ``(timestamp, comp_id, values)`` in ``(timestamp, append)`` order."""
+    """One answered query: wire status, column names, and ``nrows``
+    rows in ``(timestamp, append)`` order, encoded in ``body`` as wire
+    QUERY rows."""
 
     status: int
     names: tuple[str, ...]
-    rows: tuple = field(default=())
+    body: bytes = b""
+    nrows: int = 0
     cache_hit: bool = False
     truncated: bool = False
     #: Which path answered: "hot", "lru", "scan", or "noent".
     source: str = "scan"
+
+    @property
+    def rows(self) -> tuple:
+        """Decoded view of ``body``: ``(timestamp, comp_id, values)``."""
+        return tuple(wire.unpack_query_rows(self.body, len(self.names)))
 
     def flags(self) -> int:
         f = 0
@@ -58,6 +71,75 @@ class QueryResult:
         if self.cache_hit:
             f |= wire.QUERY_CACHE_HIT
         return f
+
+    def payload(self) -> bytes:
+        """The QUERY_REPLY payload: a header in front of ``body``."""
+        return wire.pack_query_reply(self.status, self.names,
+                                     flags=self.flags(), body=self.body)
+
+
+class _HotRows:
+    """One container's recent rows, time-ordered.
+
+    ``times``/``rows`` are parallel lists; entries before
+    ``start`` are evicted and dropped in bulk.  ``arrivals`` keeps the
+    appended timestamps in append order: the window is trimmed from
+    the oldest *append* while that one is older than the cutoff, and
+    ``floor`` is the cutoff of the last trim — the oldest timestamp
+    from which every ingested row is still held.  -inf until the first
+    trim when the container was empty when the store opened it; +inf
+    while a pre-existing container may hold rows never seen ingested.
+    """
+
+    __slots__ = ("times", "rows", "start", "arrivals", "floor")
+
+    #: Evicted-prefix length below which compaction is never worth it.
+    _COMPACT_MIN = 1024
+
+    def __init__(self, floor: float):
+        self.times: list[float] = []
+        self.rows: list[bytes] = []
+        self.start = 0
+        self.arrivals: deque = deque()
+        self.floor = floor
+
+    def add(self, ts: float, row: bytes, cutoff: float) -> None:
+        times = self.times
+        if not times or ts >= times[-1]:
+            times.append(ts)
+            self.rows.append(row)
+        else:  # a straggler: after every row of an equal timestamp
+            i = bisect_right(times, ts, self.start)
+            times.insert(i, ts)
+            self.rows.insert(i, row)
+        arrivals = self.arrivals
+        arrivals.append(ts)
+        if arrivals[0] < cutoff:
+            while arrivals and arrivals[0] < cutoff:
+                arrivals.popleft()
+            # Everything at or above the cutoff arrived after attach
+            # (nothing older was ever trimmed), so from here the window
+            # is authoritative for [cutoff, now].
+            self.floor = cutoff
+            start = self.start = bisect_left(times, cutoff, self.start)
+            if start >= self._COMPACT_MIN and start * 2 >= len(times):
+                del times[:start], self.rows[:start]
+                self.start = 0
+
+    def select(self, t0: float, t1: float, comp_id: int,
+               max_records: int) -> tuple[list[bytes], bool]:
+        """Rows with t0 <= ts < t1 (of ``comp_id`` unless 0), cut at
+        ``max_records`` unless 0; and whether the cut dropped any."""
+        lo = bisect_left(self.times, t0, self.start)
+        hi = bisect_left(self.times, t1, lo)
+        sel = self.rows[lo:hi]
+        if comp_id:  # a row's u32 comp_id sits at bytes 8..12
+            key = comp_id.to_bytes(4, "little")
+            sel = [row for row in sel if row[8:12] == key]
+        truncated = bool(max_records) and len(sel) > max_records
+        if truncated:
+            del sel[max_records:]
+        return sel, truncated
 
 
 class QueryEngine:
@@ -74,13 +156,7 @@ class QueryEngine:
         self.clock = clock
         self.hot_window = float(hot_window)
         self.cache_entries = int(cache_entries)
-        #: container -> deque[(ts, comp_id, values)] of recent appends.
-        self._hot: dict[str, deque] = {}
-        #: container -> oldest timestamp the hot deque still fully
-        #: covers.  -inf once we have seen every row the container ever
-        #: held (it was empty when the store opened it); +inf while a
-        #: pre-existing container may hold rows we never saw ingested.
-        self._floor: dict[str, float] = {}
+        self._hot: dict[str, _HotRows] = {}
         #: query key -> (container append-version, QueryResult).
         self._lru: "OrderedDict[tuple, tuple[int, QueryResult]]" = OrderedDict()
         self._readers: dict[str, SosReader] = {}
@@ -91,22 +167,12 @@ class QueryEngine:
         store.set_observer(self._ingest)
 
     # -- ingest side --------------------------------------------------------
-    def _ingest(self, container: str, ts: float, comp_id: int,
-                values: tuple) -> None:
-        dq = self._hot.get(container)
-        if dq is None:
-            dq = self._hot[container] = deque()
-            self._floor[container] = (
+    def _ingest(self, container: str, ts: float, row: bytes) -> None:
+        hot = self._hot.get(container)
+        if hot is None:
+            hot = self._hot[container] = _HotRows(
                 _INF if container in self.store.preexisting else -_INF)
-        dq.append((ts, comp_id, values))
-        cutoff = ts - self.hot_window
-        if dq[0][0] < cutoff:
-            while dq and dq[0][0] < cutoff:
-                dq.popleft()
-            # Everything at or above the cutoff arrived after attach
-            # (nothing older ever sat in the deque), so from here the
-            # hot window is authoritative for [cutoff, now].
-            self._floor[container] = cutoff
+        hot.add(ts, row, ts - self.hot_window)
 
     # -- query side ---------------------------------------------------------
     def query(self, schema: str, t0: float, t1: float, level: int = 0,
@@ -120,32 +186,27 @@ class QueryEngine:
             self._lru.move_to_end(key)
             self._c_hits.inc()
             res = cached[1]
-            self._c_rows.inc(len(res.rows))
+            self._c_rows.inc(res.nrows)
             if res.source != "lru":
-                res = QueryResult(res.status, res.names, res.rows,
+                res = QueryResult(res.status, res.names, res.body, res.nrows,
                                   cache_hit=True, truncated=res.truncated,
                                   source="lru")
                 self._lru[key] = (version, res)
             return res
 
-        dq = self._hot.get(container)
-        if dq is not None and t0 >= self._floor.get(container, _INF):
-            rows = [r for r in dq
-                    if t0 <= r[0] < t1 and (not comp_id or r[1] == comp_id)]
-            rows.sort(key=lambda r: r[0])  # stable: append order ties
-            truncated = bool(max_records) and len(rows) > max_records
-            if truncated:
-                rows = rows[:max_records]
+        hot = self._hot.get(container)
+        if hot is not None and t0 >= hot.floor:
+            rows, truncated = hot.select(t0, t1, comp_id, max_records)
             names = self.store._names.get(container, ())
             self._c_hits.inc()
             self._c_rows.inc(len(rows))
-            return QueryResult(wire.E_OK, tuple(names), tuple(rows),
-                               cache_hit=True, truncated=truncated,
-                               source="hot")
+            return QueryResult(wire.E_OK, tuple(names), b"".join(rows),
+                               len(rows), cache_hit=True,
+                               truncated=truncated, source="hot")
 
         self._c_misses.inc()
         res = self._scan(container, t0, t1, comp_id, max_records)
-        self._c_rows.inc(len(res.rows))
+        self._c_rows.inc(res.nrows)
         if res.status == wire.E_OK:
             self._lru[key] = (version, res)
             while len(self._lru) > self.cache_entries:
@@ -164,17 +225,10 @@ class QueryEngine:
             self._readers[container] = reader
         else:
             reader.refresh()
-        rows = []
-        truncated = False
-        for rec in reader.range(t0, t1):
-            if comp_id and rec.component_id != comp_id:
-                continue
-            if max_records and len(rows) >= max_records:
-                truncated = True
-                break
-            rows.append((rec.timestamp, rec.component_id, rec.values))
-        return QueryResult(wire.E_OK, tuple(reader.metric_names),
-                           tuple(rows), truncated=truncated, source="scan")
+        body, nrows, truncated = reader.range_rows(t0, t1, comp_id,
+                                                   max_records)
+        return QueryResult(wire.E_OK, tuple(reader.metric_names), body,
+                           nrows, truncated=truncated, source="scan")
 
     # -- introspection ------------------------------------------------------
     def stats(self) -> dict:

@@ -4,6 +4,7 @@ from repro.util.errors import (
     ReproError,
     ConfigError,
     TransportError,
+    ProtocolError,
     LookupError_,
     StoreError,
     SimulationError,
@@ -30,6 +31,7 @@ __all__ = [
     "ReproError",
     "ConfigError",
     "TransportError",
+    "ProtocolError",
     "LookupError_",
     "StoreError",
     "SimulationError",

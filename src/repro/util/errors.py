@@ -26,6 +26,18 @@ class ConnectionLost(TransportError):
     """The peer endpoint went away mid-operation."""
 
 
+class ProtocolError(ReproError):
+    """A wire frame or payload is malformed: truncated, over-long, or
+    not UTF-8.
+
+    The QUERY codecs check every length field against the bytes
+    actually left before unpacking or allocating, so hostile input ends
+    here instead of as a ``struct.error``, ``UnicodeDecodeError`` or a
+    huge allocation.  Frame decoding raises it for a corrupt frame
+    length.
+    """
+
+
 class LookupError_(ReproError):
     """A metric-set lookup failed (set not found on the peer).
 

@@ -383,6 +383,31 @@ class TestWireConformance:
         assert not [v for v in report.violations
                     if v.rule_id == "flow-wire-conformance" and v.severity == "error"]
 
+    def test_iter_unpack_pairs_with_a_packing_loop(self):
+        src = textwrap.dedent(
+            """
+            import struct
+
+            def pack_rows(rows, n):
+                return b"".join([struct.pack(f"<dI{n}d", t, c, *v)
+                                 for t, c, v in rows])
+
+            def unpack_rows(body, n):
+                return list(struct.iter_unpack(f"<dI{n}d", body))
+
+            def pack_drift(rows, n):
+                return b"".join([struct.pack(f"<dI{n}d", t, c, *v)
+                                 for t, c, v in rows])
+
+            def unpack_drift(body, n):
+                return list(struct.iter_unpack(f"<dQ{n}d", body))
+            """
+        )
+        report = analyze_sources({"w": src}, self.wire_config())
+        errors = [v.message for v in report.violations
+                  if v.rule_id == "flow-wire-conformance" and v.severity == "error"]
+        assert len(errors) == 1 and "unpack_drift" in errors[0]
+
     def test_format_mismatch_reports_frame_layout(self):
         src = (FIXTURES / "bad_wire" / "src" / "badwire.py").read_text()
         report = analyze_sources({"w": src}, self.wire_config())
