@@ -175,6 +175,34 @@ def test_meminfo_parse(benchmark):
     assert out["MemTotal"] > 0
 
 
+def test_bw_node_sample(benchmark):
+    """One Blue Waters node sample: ``bw_custom``'s seven file renders
+    (gpcdr, three Lustre llite stats, LNET, loadavg and a 32-cpu
+    /proc/stat), their parses and the whole-row ``set_values``.  The
+    clock moves one second per sample, so every render integrates."""
+    from repro.cluster.machine import blue_waters
+    from repro.core import Ldmsd, SimEnv
+    from repro.nodefs import GpcdrModel, HostModel
+    from repro.sim.engine import Engine
+    from repro.transport.simfabric import SimFabric, SimTransport
+
+    clock = {"t": 0.0}
+    profile = blue_waters(2, seed=0).nodes[0].host.profile
+    host = HostModel("n0", lambda: clock["t"], profile)
+    GpcdrModel(lambda: clock["t"], fs=host.fs)
+    eng = Engine()
+    d = Ldmsd("n0", env=SimEnv(eng), fs=host.fs,
+              transports={"rdma": SimTransport(SimFabric(eng), "rdma")})
+    plugin = d.load_sampler("bw_custom", instance="n0/bw", component_id=1)
+
+    def sample():
+        clock["t"] += 1.0
+        plugin.sample(clock["t"])
+
+    benchmark(sample)
+    assert plugin.set.get("cpu_user") > 0
+
+
 def test_pipeline_unit_bare(benchmark, tmp_path):
     """Full sample→transport→store traversal, telemetry disabled.
 

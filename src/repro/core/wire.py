@@ -234,6 +234,31 @@ def decode_frame(raw: bytes) -> Frame:
 
 
 # ---------------------------------------------------------------------------
+# Payload decoders fail closed: each checks its counts and lengths against
+# the bytes left before unpacking or allocating, and malformed input
+# raises ProtocolError only.
+# ---------------------------------------------------------------------------
+
+
+def _need(payload, size: int, what: str) -> None:
+    if len(payload) < size:
+        raise ProtocolError(f"{what} of {len(payload)} bytes is cut short: "
+                            f"{size} needed")
+
+
+def _exact(payload, size: int, what: str) -> None:
+    if len(payload) != size:
+        raise ProtocolError(f"{what} claims {size} bytes; {len(payload)} arrived")
+
+
+def _utf8(raw, what: str) -> str:
+    try:
+        return str(raw, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"{what} is not UTF-8: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
 # DIR
 # ---------------------------------------------------------------------------
 
@@ -262,7 +287,9 @@ def pack_dir_reply(infos: list[SetInfo]) -> bytes:
 
 
 def unpack_dir_reply(payload: bytes) -> list[SetInfo]:
+    _need(payload, 4, "DIR_REPLY")
     (n,) = struct.unpack_from("<I", payload, 0)
+    _exact(payload, 4 + n * _SETINFO_SIZE, "DIR_REPLY")
     infos = []
     pos = 4
     for _ in range(n):
@@ -270,8 +297,8 @@ def unpack_dir_reply(payload: bytes) -> list[SetInfo]:
         pos += _SETINFO_SIZE
         infos.append(
             SetInfo(
-                name=name_b.rstrip(b"\x00").decode(),
-                schema=schema_b.rstrip(b"\x00").decode(),
+                name=_utf8(name_b.rstrip(b"\x00"), "DIR_REPLY set name"),
+                schema=_utf8(schema_b.rstrip(b"\x00"), "DIR_REPLY schema"),
                 card=card,
                 meta_size=msz,
                 data_size=dsz,
@@ -291,8 +318,10 @@ def pack_lookup_req(set_name: str) -> bytes:
 
 
 def unpack_lookup_req(payload: bytes) -> str:
+    _need(payload, 2, "LOOKUP_REQ")
     (n,) = struct.unpack_from("<H", payload, 0)
-    return payload[2 : 2 + n].decode("utf-8")
+    _exact(payload, 2 + n, "LOOKUP_REQ")
+    return _utf8(payload[2:], "LOOKUP_REQ set name")
 
 
 def pack_lookup_reply(status: int, region_id: int = 0, meta: bytes = b"") -> bytes:
@@ -300,8 +329,10 @@ def pack_lookup_reply(status: int, region_id: int = 0, meta: bytes = b"") -> byt
 
 
 def unpack_lookup_reply(payload: bytes) -> tuple[int, int, bytes]:
+    _need(payload, 16, "LOOKUP_REPLY")
     status, region_id, mlen = struct.unpack_from("<iQI", payload, 0)
-    return status, region_id, payload[16 : 16 + mlen]
+    _exact(payload, 16 + mlen, "LOOKUP_REPLY")
+    return status, region_id, payload[16:]
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +381,9 @@ def pack_read_multi_req(region_ids: list[int]) -> bytes:
 
 
 def unpack_read_multi_req(payload: bytes) -> list[int]:
+    _need(payload, 4, "READ_MULTI_REQ")
     (n,) = struct.unpack_from("<I", payload, 0)
+    _exact(payload, 4 + 8 * n, "READ_MULTI_REQ")
     return list(struct.unpack_from(f"<{n}Q", payload, 4))
 
 
@@ -366,14 +399,18 @@ def pack_read_multi_reply(parts: list[bytes | None]) -> bytes:
 
 
 def unpack_read_multi_reply(payload: bytes) -> list[bytes | None]:
+    _need(payload, 4, "READ_MULTI_REPLY")
     (n,) = struct.unpack_from("<I", payload, 0)
     pos = 4
     parts: list[bytes | None] = []
     for _ in range(n):
+        _need(payload, pos + 8, "READ_MULTI_REPLY")
         status, dlen = struct.unpack_from("<iI", payload, pos)
         pos += 8
+        _need(payload, pos + dlen, "READ_MULTI_REPLY")
         parts.append(bytes(payload[pos : pos + dlen]) if status == E_OK else None)
         pos += dlen
+    _exact(payload, pos, "READ_MULTI_REPLY")
     return parts
 
 
@@ -394,10 +431,6 @@ def unpack_read_multi_reply(payload: bytes) -> list[bytes | None]:
 # its u32 card field, so the store hands the query tier each row
 # encoded once at ingest and a served reply is a header in front of
 # bytes already held (``pack_query_reply(..., body=)``).
-#
-# Both decoders fail closed: every length field is checked against the
-# bytes left before anything is unpacked or allocated, and malformed
-# input raises ProtocolError only.
 # ---------------------------------------------------------------------------
 
 #: Reply flag bits: the row set was cut at ``max_records``; the reply
@@ -413,13 +446,6 @@ def query_row_size(ncols: int) -> int:
     return 12 + 8 * ncols
 
 
-def _utf8(raw) -> str:
-    try:
-        return str(raw, "utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"QUERY name is not UTF-8: {exc}") from None
-
-
 def pack_query_req(schema: str, t0: float, t1: float, level: int = 0,
                    comp_id: int = 0, max_records: int = 0) -> bytes:
     b = schema.encode("utf-8")
@@ -427,14 +453,10 @@ def pack_query_req(schema: str, t0: float, t1: float, level: int = 0,
 
 
 def unpack_query_req(payload: bytes) -> tuple[str, float, float, int, int, int]:
-    if len(payload) < _QUERY_REQ_SIZE:
-        raise ProtocolError(f"QUERY_REQ of {len(payload)} bytes: "
-                            f"the header alone is {_QUERY_REQ_SIZE}")
+    _need(payload, _QUERY_REQ_SIZE, "QUERY_REQ")
     t0, t1, level, comp_id, max_records, n = struct.unpack_from("<ddIIIH", payload, 0)
-    if len(payload) != _QUERY_REQ_SIZE + n:
-        raise ProtocolError(f"QUERY_REQ schema of {n} bytes in a "
-                            f"{len(payload)}-byte payload")
-    schema = _utf8(payload[30 : 30 + n])
+    _exact(payload, _QUERY_REQ_SIZE + n, "QUERY_REQ")
+    schema = _utf8(payload[30:], "QUERY_REQ schema")
     return schema, t0, t1, level, comp_id, max_records
 
 
@@ -472,9 +494,8 @@ def pack_query_reply(status: int, names: tuple[str, ...] = (),
 
 
 def unpack_query_reply(payload: bytes) -> tuple[int, int, tuple[str, ...], list]:
+    _need(payload, 13, "QUERY_REPLY")
     end = len(payload)
-    if end < 13:
-        raise ProtocolError(f"QUERY_REPLY of {end} bytes: at least 13 needed")
     status, flags, ncols = struct.unpack_from("<iBI", payload, 0)
     if 13 + 2 * ncols > end:
         raise ProtocolError(f"QUERY_REPLY claims {ncols} columns in {end} bytes")
@@ -486,13 +507,11 @@ def unpack_query_reply(payload: bytes) -> tuple[int, int, tuple[str, ...], list]
         if pos + n + 4 > end:
             raise ProtocolError(f"QUERY_REPLY column name of {n} bytes "
                                 f"overruns the payload")
-        names.append(_utf8(payload[pos : pos + n]))
+        names.append(_utf8(payload[pos : pos + n], "QUERY_REPLY column name"))
         pos += n
     (nrows,) = struct.unpack_from("<I", payload, pos)
     pos += 4
-    if nrows * query_row_size(ncols) != end - pos:
-        raise ProtocolError(f"QUERY_REPLY claims {nrows} rows of {ncols} "
-                            f"columns; {end - pos} bytes follow")
+    _exact(payload, pos + nrows * query_row_size(ncols), "QUERY_REPLY")
     rows = unpack_query_rows(memoryview(payload)[pos:], ncols)
     return status, flags, tuple(names), rows
 
@@ -513,6 +532,8 @@ def pack_hello(now: float, features: frozenset[str] | set[str]) -> bytes:
 
 
 def unpack_hello(payload: bytes) -> tuple[float, frozenset[str]]:
+    _need(payload, 10, "HELLO")
     now, n = struct.unpack_from("<dH", payload, 0)
-    raw = payload[10 : 10 + n].decode("utf-8")
+    _exact(payload, 10 + n, "HELLO")
+    raw = _utf8(payload[10:], "HELLO feature list")
     return now, (frozenset(raw.split(",")) if raw else frozenset())

@@ -135,6 +135,10 @@ class HostModel:
                    for d in p.ib_devices}
         self.lnet_counters = dict(send_count=0.0, recv_count=0.0,
                                   send_length=0.0, recv_length=0.0, drop_count=0.0)
+        # Jitter factors one advance() draws, in consumption order: ctxt,
+        # processes, 6 per Lustre mount, nfs, 2 per eth interface and per
+        # IB device, 2 LNET lengths.
+        self._njitter = 5 + 6 * len(p.lustre_mounts) + 2 * (len(p.eth_ifaces) + len(p.ib_devices))
 
         self._register()
 
@@ -165,9 +169,6 @@ class HostModel:
     # ------------------------------------------------------------------
     # integration
     # ------------------------------------------------------------------
-    def _jitter(self) -> float:
-        return float(np.clip(1.0 + 0.05 * self.rng.standard_normal(), 0.0, None))
-
     def advance(self) -> float:
         """Integrate counters up to the clock; returns now."""
         now = float(self.clock())
@@ -192,39 +193,43 @@ class HostModel:
         self.cpu_jiffies[:, 2] += node_jiffies * sys_ * share
         self.cpu_jiffies[:, 3] += node_jiffies * idle * share
         self.cpu_jiffies[:, 4] += node_jiffies * iow * share
-        self.ctxt += dt * (500 + 5e4 * (user + sys_)) * self._jitter()
-        self.processes += dt * 2.0 * self._jitter()
+        # Multiplicative counter noise: every factor of this step in one
+        # draw, consumed in the fixed order counted by _njitter.
+        jitter = iter(np.maximum(
+            1.0 + 0.05 * self.rng.standard_normal(self._njitter), 0.0).tolist()).__next__
+        self.ctxt += dt * (500 + 5e4 * (user + sys_)) * jitter()
+        self.processes += dt * 2.0 * jitter()
 
         # Lustre
         for ctrs in self.lustre.values():
-            ctrs["open"] += dt * self.lustre_open_rate * self._jitter()
-            ctrs["close"] += dt * self.lustre_close_rate * self._jitter()
-            ctrs["read_bytes"] += dt * self.lustre_read_bps * self._jitter()
-            ctrs["write_bytes"] += dt * self.lustre_write_bps * self._jitter()
-            ctrs["dirty_pages_hits"] += dt * self.lustre_dirty_hit_rate * self._jitter()
-            ctrs["dirty_pages_misses"] += dt * self.lustre_dirty_miss_rate * self._jitter()
+            ctrs["open"] += dt * self.lustre_open_rate * jitter()
+            ctrs["close"] += dt * self.lustre_close_rate * jitter()
+            ctrs["read_bytes"] += dt * self.lustre_read_bps * jitter()
+            ctrs["write_bytes"] += dt * self.lustre_write_bps * jitter()
+            ctrs["dirty_pages_hits"] += dt * self.lustre_dirty_hit_rate * jitter()
+            ctrs["dirty_pages_misses"] += dt * self.lustre_dirty_miss_rate * jitter()
 
-        self.nfs_ops += dt * self.nfs_ops_rate * self._jitter()
+        self.nfs_ops += dt * self.nfs_ops_rate * jitter()
 
         for ctrs in self.eth.values():
-            rx = dt * self.eth_rx_bps * self._jitter()
-            tx = dt * self.eth_tx_bps * self._jitter()
+            rx = dt * self.eth_rx_bps * jitter()
+            tx = dt * self.eth_tx_bps * jitter()
             ctrs["rx_bytes"] += rx
             ctrs["tx_bytes"] += tx
             ctrs["rx_packets"] += rx / 1000.0
             ctrs["tx_packets"] += tx / 1000.0
 
         for ctrs in self.ib.values():
-            rx = dt * self.ib_rx_bps * self._jitter()
-            tx = dt * self.ib_tx_bps * self._jitter()
+            rx = dt * self.ib_rx_bps * jitter()
+            tx = dt * self.ib_tx_bps * jitter()
             # IB port data counters count 4-byte words, like real hardware.
             ctrs["port_rcv_data"] += rx / 4.0
             ctrs["port_xmit_data"] += tx / 4.0
             ctrs["port_rcv_packets"] += rx / 2048.0
             ctrs["port_xmit_packets"] += tx / 2048.0
 
-        self.lnet_counters["send_length"] += dt * self.lnet_send_bps * self._jitter()
-        self.lnet_counters["recv_length"] += dt * self.lnet_recv_bps * self._jitter()
+        self.lnet_counters["send_length"] += dt * self.lnet_send_bps * jitter()
+        self.lnet_counters["recv_length"] += dt * self.lnet_recv_bps * jitter()
         self.lnet_counters["send_count"] += dt * self.lnet_send_bps / 4096.0
         self.lnet_counters["recv_count"] += dt * self.lnet_recv_bps / 4096.0
         return now
@@ -244,35 +249,26 @@ class HostModel:
             )
         if p.nfs:
             fs.register("/proc/net/rpc/nfs", self._render_nfs)
-        for iface in p.eth_ifaces:
-            for ctr in ("rx_bytes", "tx_bytes", "rx_packets", "tx_packets",
-                        "rx_errors", "tx_errors", "rx_dropped", "tx_dropped"):
-                fs.register(
-                    f"/sys/class/net/{iface}/statistics/{ctr}",
-                    lambda i=iface, c=ctr: self._render_eth(i, c),
-                )
-        for dev in p.ib_devices:
-            for ctr in ("port_rcv_data", "port_xmit_data",
-                        "port_rcv_packets", "port_xmit_packets"):
-                fs.register(
-                    f"/sys/class/infiniband/{dev}/ports/1/counters/{ctr}",
-                    lambda d=dev, c=ctr: self._render_ib(d, c),
-                )
+        for iface, ctrs in self.eth.items():
+            for ctr in ctrs:
+                fs.register(f"/sys/class/net/{iface}/statistics/{ctr}",
+                            lambda c=ctrs, k=ctr: self._render_counter(c, k))
+        for dev, ctrs in self.ib.items():
+            for ctr in ctrs:
+                fs.register(f"/sys/class/infiniband/{dev}/ports/1/counters/{ctr}",
+                            lambda c=ctrs, k=ctr: self._render_counter(c, k))
         if p.lnet:
             fs.register("/proc/sys/lnet/stats", self._render_lnet)
 
     def _render_stat(self) -> str:
         self.advance()
-        total = self.cpu_jiffies.sum(axis=0)
-        lines = ["cpu  " + " ".join(str(int(v)) for v in total)]
-        for i in range(self.profile.ncpus):
-            lines.append(f"cpu{i} " + " ".join(str(int(v)) for v in self.cpu_jiffies[i]))
-        lines.append(f"ctxt {int(self.ctxt)}")
-        lines.append("btime 1400000000")
-        lines.append(f"processes {int(self.processes)}")
-        lines.append("procs_running 1")
-        lines.append("procs_blocked 0")
-        return "\n".join(lines) + "\n"
+        # Truncate through int64 casts, then format plain Python ints.
+        total = self.cpu_jiffies.sum(axis=0).astype(np.int64).tolist()
+        cpus = "".join([f"cpu{i} {' '.join(map(str, row))}\n" for i, row
+                        in enumerate(self.cpu_jiffies.astype(np.int64).tolist())])
+        return (f"cpu  {' '.join(map(str, total))}\n{cpus}"
+                f"ctxt {int(self.ctxt)}\nbtime 1400000000\n"
+                f"processes {int(self.processes)}\nprocs_running 1\nprocs_blocked 0\n")
 
     def _render_meminfo(self) -> str:
         self.advance()
@@ -309,23 +305,22 @@ class HostModel:
     def _render_loadavg(self) -> str:
         self.advance()
         load = self.profile.ncpus * (self.cpu_user_frac + self.cpu_sys_frac) + self.loadavg_bias
-        l1 = max(load * self._jitter(), 0.0)
+        jitter = max(1.0 + 0.05 * self.rng.standard_normal(), 0.0)
+        l1 = max(load * jitter, 0.0)
         return f"{l1:.2f} {load:.2f} {load:.2f} 1/{int(self.processes) + 100} {int(self.processes) + 1000}\n"
 
     def _render_lustre(self, mount: str) -> str:
         self.advance()
-        c = self.lustre[mount]
-        now = self._last
-        lines = [f"snapshot_time {now:.6f} secs.usecs"]
-        for key in ("dirty_pages_hits", "dirty_pages_misses"):
-            lines.append(f"{key} {int(c[key])} samples [regs]")
-        for key in ("read_bytes", "write_bytes"):
-            n_ops = int(c[key] / 1048576.0) + 1
-            lines.append(f"{key} {int(c[key])} samples [bytes] 4096 1048576 {int(c[key])}")
-            del n_ops
-        for key in ("open", "close"):
-            lines.append(f"{key} {int(c[key])} samples [regs]")
-        return "\n".join(lines) + "\n"
+        c = {key: int(v) for key, v in self.lustre[mount].items()}
+        return (
+            f"snapshot_time {self._last:.6f} secs.usecs\n"
+            f"dirty_pages_hits {c['dirty_pages_hits']} samples [regs]\n"
+            f"dirty_pages_misses {c['dirty_pages_misses']} samples [regs]\n"
+            f"read_bytes {c['read_bytes']} samples [bytes] 4096 1048576 {c['read_bytes']}\n"
+            f"write_bytes {c['write_bytes']} samples [bytes] 4096 1048576 {c['write_bytes']}\n"
+            f"open {c['open']} samples [regs]\n"
+            f"close {c['close']} samples [regs]\n"
+        )
 
     def _render_nfs(self) -> str:
         self.advance()
@@ -336,13 +331,10 @@ class HostModel:
             f"proc3 22 0 {ops} 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
         )
 
-    def _render_eth(self, iface: str, ctr: str) -> str:
+    def _render_counter(self, ctrs: dict[str, float], key: str) -> str:
+        """A one-value /sys counter file (Ethernet or Infiniband)."""
         self.advance()
-        return f"{int(self.eth[iface][ctr])}\n"
-
-    def _render_ib(self, dev: str, ctr: str) -> str:
-        self.advance()
-        return f"{int(self.ib[dev][ctr])}\n"
+        return f"{int(ctrs[key])}\n"
 
     def _render_lnet(self) -> str:
         self.advance()

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from repro.core.metric import MetricType
 from repro.core.sampler import SamplerPlugin, register_sampler
-from repro.nodefs.gpcdr import GEMINI_DIRECTIONS, GPCDR_PATH
-from repro.plugins.samplers.gpcdr import DERIVED, RAW
+from repro.nodefs.gpcdr import GPCDR_PATH
+from repro.plugins.samplers.gpcdr import HSN_METRICS, TRAFFIC_KEYS, HsnDerivation
+from repro.plugins.samplers.loadavg import LOADAVG_METRICS
 from repro.plugins.samplers.parsers import (
     CPU_FIELDS,
     LNET_FIELDS,
@@ -67,89 +68,56 @@ class BlueWatersSampler(SamplerPlugin):
         super().config(instance, component_id, **kwargs)
         self.gpcdr_path = gpcdr_path
         self.llite_root = llite_root
-        if isinstance(lustre_mounts, str) and lustre_mounts != "auto":
-            lustre_mounts = tuple(m for m in lustre_mounts.split(",") if m)
-        if lustre_mounts == "auto":
-            try:
-                entries = self.daemon.fs.listdir(llite_root)
-            except FileNotFoundError:
-                entries = []
-            self._llite = {e.rsplit("-", 1)[0]: e for e in entries}
-        else:
+        try:
             entries = self.daemon.fs.listdir(llite_root)
-            by_fs = {e.rsplit("-", 1)[0]: e for e in entries}
-            self._llite = {m: by_fs[m] for m in lustre_mounts}
+        except FileNotFoundError:
+            if lustre_mounts != "auto":
+                raise
+            entries = []
+        by_fs = {e.rsplit("-", 1)[0]: e for e in entries}
+        if lustre_mounts != "auto":
+            if isinstance(lustre_mounts, str):
+                lustre_mounts = tuple(m for m in lustre_mounts.split(",") if m)
+            by_fs = {m: by_fs[m] for m in lustre_mounts}
+        mounts = sorted(by_fs)
+        # The file paths and dict keys a sample looks up, built once.
+        self._lustre_paths = tuple(f"{llite_root}/{by_fs[m]}/stats" for m in mounts)
+        self._stat_keys = (*(f"cpu_{f}" for f in CPU_FIELDS), "ctxt", "processes")
 
-        metrics: list[tuple[str, MetricType]] = []
-        for d in GEMINI_DIRECTIONS:
-            metrics.extend((f"{raw}_{d}", MetricType.U64) for raw in RAW)
-            metrics.extend((f"{der}_{d}", MetricType.F64) for der in DERIVED)
-        for fs in sorted(self._llite):
-            metrics.extend(
-                (f"{ev}#stats.{fs}", MetricType.U64) for ev in BW_LUSTRE_EVENTS
-            )
+        metrics: list[tuple[str, MetricType]] = list(HSN_METRICS)
+        metrics.extend((f"{ev}#stats.{m}", MetricType.U64)
+                       for m in mounts for ev in BW_LUSTRE_EVENTS)
         metrics.extend((m, MetricType.U64) for m in LNET_FIELDS)
         metrics.extend((f"nic_{c}", MetricType.U64) for c in NIC_COUNTERS)
-        metrics.extend(
-            [("load1", MetricType.F64), ("load5", MetricType.F64),
-             ("load15", MetricType.F64), ("runnable", MetricType.U64),
-             ("total_procs", MetricType.U64)]
-        )
-        metrics.extend((f"cpu_{f}", MetricType.U64) for f in CPU_FIELDS)
-        metrics.extend([("ctxt", MetricType.U64), ("processes", MetricType.U64)])
+        metrics.extend(LOADAVG_METRICS)
+        metrics.extend((k, MetricType.U64) for k in self._stat_keys)
         metrics.extend((f"rur_{c}", MetricType.U64) for c in RUR_COUNTERS)
         self.set = self.create_set(instance, "bw_custom", metrics)
-        self._prev: dict[str, float] | None = None
-        self._prev_ts = 0.0
+        self._hsn = HsnDerivation()
 
     def do_sample(self, now: float) -> None:
         # One whole-row write: values accumulate in metric-creation
         # order and land with a single set_values() pack + DGN bump.
         fs = self.daemon.fs
-        vals: list[float | int] = []
         # HSN (+ derived)
         data = parse_gpcdr(fs.read(self.gpcdr_path))
-        ts = float(data.get("timestamp", now))
-        dt = ts - self._prev_ts if self._prev is not None else 0.0
-        for d in GEMINI_DIRECTIONS:
-            for raw in RAW:
-                vals.append(int(data.get(f"{raw}_{d}", 0)))
-            if self._prev is not None and dt > 0:
-                d_traffic = data.get(f"traffic_{d}", 0) - self._prev.get(f"traffic_{d}", 0)
-                d_packets = data.get(f"packets_{d}", 0) - self._prev.get(f"packets_{d}", 0)
-                d_stall_ns = data.get(f"stalled_{d}", 0) - self._prev.get(f"stalled_{d}", 0)
-                speed = max(float(data.get(f"linkspeed_{d}", 0)), 1.0)
-                pct_stall = min(100.0 * (d_stall_ns / 1e9) / dt, 100.0)
-                pct_bw = min(100.0 * (d_traffic / dt) / speed, 100.0)
-                avg_pkt = d_traffic / d_packets if d_packets > 0 else 0.0
-            else:
-                pct_stall = pct_bw = avg_pkt = 0.0
-            vals.append(max(pct_stall, 0.0))
-            vals.append(max(pct_bw, 0.0))
-            vals.append(max(avg_pkt, 0.0))
-        self._prev = {k: float(v) for k, v in data.items()}
-        self._prev_ts = ts
+        vals = self._hsn.values(data, now)
         # Lustre
-        for fsname in sorted(self._llite):
-            stats = parse_lustre_stats(
-                fs.read(f"{self.llite_root}/{self._llite[fsname]}/stats")
-            )
-            vals.extend(stats.get(ev, 0) for ev in BW_LUSTRE_EVENTS)
+        for path in self._lustre_paths:
+            stats = parse_lustre_stats(fs.read(path))
+            vals.extend([stats.get(ev, 0) for ev in BW_LUSTRE_EVENTS])
         # LNET
         lnet = parse_lnet_stats(fs.read("/proc/sys/lnet/stats"))
-        vals.extend(lnet.get(m, 0) for m in LNET_FIELDS)
+        vals.extend([lnet.get(m, 0) for m in LNET_FIELDS])
         # NIC totals: derive from gpcdr traffic totals (the real sampler
         # reads separate Gemini NIC performance counters).
-        total_out = int(sum(data.get(f"traffic_{d}", 0) for d in GEMINI_DIRECTIONS))
-        vals.extend(total_out >> i for i in range(len(NIC_COUNTERS)))
-        # Load averages (parser yields load1/load5/load15/runnable/total_procs
-        # in metric order)
+        total_out = int(sum([data.get(k, 0) for k in TRAFFIC_KEYS]))
+        vals.extend([total_out >> i for i in range(len(NIC_COUNTERS))])
+        # Load averages (parser yields them in LOADAVG_METRICS order)
         vals.extend(parse_loadavg(fs.read("/proc/loadavg")).values())
         # CPU aggregate
         stat = parse_proc_stat(fs.read("/proc/stat"))
-        vals.extend(stat.get(f"cpu_{f}", 0) for f in CPU_FIELDS)
-        vals.append(stat.get("ctxt", 0))
-        vals.append(stat.get("processes", 0))
+        vals.extend([stat.get(k, 0) for k in self._stat_keys])
         # RUR-style placeholders (no power instrumentation in the model).
-        vals.extend(0 for _ in RUR_COUNTERS)
+        vals.extend((0,) * len(RUR_COUNTERS))
         self.set.set_values(vals)

@@ -19,10 +19,55 @@ from repro.core.sampler import SamplerPlugin, register_sampler
 from repro.nodefs.gpcdr import GEMINI_DIRECTIONS, GPCDR_PATH
 from repro.plugins.samplers.parsers import parse_gpcdr
 
-__all__ = ["GpcdrSampler"]
+__all__ = ["GpcdrSampler", "HsnDerivation", "HSN_METRICS", "TRAFFIC_KEYS"]
 
 RAW = ("traffic", "packets", "stalled", "linkstatus")
 DERIVED = ("percent_stalled", "percent_bw", "avg_packet_size")
+
+#: Per direction: the raw U64s, then the derived F64s.
+HSN_METRICS = tuple(
+    (f"{name}_{d}", mtype) for d in GEMINI_DIRECTIONS
+    for names, mtype in ((RAW, MetricType.U64), (DERIVED, MetricType.F64))
+    for name in names)
+
+#: Per direction: its raw metric keys, then the traffic, packets,
+#: stalled and linkspeed keys the derivation reads.
+_KEYS = tuple(
+    (tuple(f"{raw}_{d}" for raw in RAW), f"traffic_{d}", f"packets_{d}",
+     f"stalled_{d}", f"linkspeed_{d}")
+    for d in GEMINI_DIRECTIONS)
+
+TRAFFIC_KEYS = tuple(k[1] for k in _KEYS)
+
+
+class HsnDerivation:
+    """Turns successive parsed gpcdr files into ``HSN_METRICS`` rows."""
+
+    def __init__(self) -> None:
+        self._prev: dict[str, float] | None = None
+        self._prev_ts = 0.0
+
+    def values(self, data: dict[str, int | float], now: float) -> list[float | int]:
+        get, prev = data.get, self._prev
+        ts = float(get("timestamp", now))
+        dt = ts - self._prev_ts if prev is not None else 0.0
+        vals: list[float | int] = []
+        for raw_keys, k_traffic, k_packets, k_stalled, k_speed in _KEYS:
+            vals.extend([int(get(k, 0)) for k in raw_keys])
+            if prev is not None and dt > 0:
+                d_traffic = get(k_traffic, 0) - prev.get(k_traffic, 0)
+                d_packets = get(k_packets, 0) - prev.get(k_packets, 0)
+                d_stall_ns = get(k_stalled, 0) - prev.get(k_stalled, 0)
+                speed = max(float(get(k_speed, 0)), 1.0)
+                pct_stall = min(100.0 * (d_stall_ns / 1e9) / dt, 100.0)
+                pct_bw = min(100.0 * (d_traffic / dt) / speed, 100.0)
+                avg_pkt = d_traffic / d_packets if d_packets > 0 else 0.0
+            else:
+                pct_stall = pct_bw = avg_pkt = 0.0
+            vals += (max(pct_stall, 0.0), max(pct_bw, 0.0), max(avg_pkt, 0.0))
+        self._prev = {k: float(v) for k, v in data.items()}
+        self._prev_ts = ts
+        return vals
 
 
 @register_sampler("gpcdr")
@@ -33,39 +78,9 @@ class GpcdrSampler(SamplerPlugin):
                path: str = GPCDR_PATH, **kwargs) -> None:
         super().config(instance, component_id, **kwargs)
         self.path = path
-        metrics: list[tuple[str, MetricType]] = []
-        for d in GEMINI_DIRECTIONS:
-            metrics.extend((f"{raw}_{d}", MetricType.U64) for raw in RAW)
-            metrics.extend((f"{der}_{d}", MetricType.F64) for der in DERIVED)
-        self.set = self.create_set(instance, "gpcdr", metrics)
-        self._prev: dict[str, float] | None = None
-        self._prev_ts: float = 0.0
+        self.set = self.create_set(instance, "gpcdr", list(HSN_METRICS))
+        self._hsn = HsnDerivation()
 
     def do_sample(self, now: float) -> None:
         data = parse_gpcdr(self.daemon.fs.read(self.path))
-        ts = float(data.get("timestamp", now))
-        prev = self._prev
-        dt = ts - self._prev_ts if prev is not None else 0.0
-        get = data.get
-        # Values accumulate in metric creation order (per direction: the
-        # raw U64s then the derived F64s) for one whole-row write.
-        vals: list[float | int] = []
-        for d in GEMINI_DIRECTIONS:
-            for raw in RAW:
-                vals.append(int(get(f"{raw}_{d}", 0)))
-            if prev is not None and dt > 0:
-                d_traffic = get(f"traffic_{d}", 0) - prev.get(f"traffic_{d}", 0)
-                d_packets = get(f"packets_{d}", 0) - prev.get(f"packets_{d}", 0)
-                d_stall_ns = get(f"stalled_{d}", 0) - prev.get(f"stalled_{d}", 0)
-                speed = max(float(get(f"linkspeed_{d}", 0)), 1.0)
-                pct_stall = min(100.0 * (d_stall_ns / 1e9) / dt, 100.0)
-                pct_bw = min(100.0 * (d_traffic / dt) / speed, 100.0)
-                avg_pkt = d_traffic / d_packets if d_packets > 0 else 0.0
-            else:
-                pct_stall = pct_bw = avg_pkt = 0.0
-            vals.append(max(pct_stall, 0.0))
-            vals.append(max(pct_bw, 0.0))
-            vals.append(max(avg_pkt, 0.0))
-        self.set.set_values(vals)
-        self._prev = {k: float(v) for k, v in data.items()}
-        self._prev_ts = ts
+        self.set.set_values(self._hsn.values(data, now))

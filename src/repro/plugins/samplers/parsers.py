@@ -7,6 +7,8 @@ the test suite.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 __all__ = [
     "parse_meminfo",
     "parse_proc_stat",
@@ -39,11 +41,19 @@ def parse_meminfo(text: str) -> dict[str, int]:
     return out
 
 
+@lru_cache(maxsize=1024)
+def _cpu_keys(label: str) -> tuple[str, ...]:
+    """``cpu_user``/``cpu_nice``/... for a ``/proc/stat`` cpu label."""
+    return tuple(f"{label}_{field}" for field in CPU_FIELDS)
+
+
 def parse_proc_stat(text: str) -> dict[str, int]:
     """Parse /proc/stat.
 
     Returns a flat dict: ``cpu_user``/``cpu_sys``/... for the aggregate
     line, ``cpuN_user``/... per cpu, plus ``ctxt`` and ``processes``.
+    A cpu line yields its first ``len(CPU_FIELDS)`` columns: fewer on
+    older kernels, and ``guest``/``guest_nice`` are ignored.
     """
     out: dict[str, int] = {}
     for line in text.splitlines():
@@ -52,10 +62,7 @@ def parse_proc_stat(text: str) -> dict[str, int]:
             continue
         head = parts[0]
         if head.startswith("cpu"):
-            label = "cpu" if head == "cpu" else head
-            for i, field in enumerate(CPU_FIELDS):
-                if 1 + i < len(parts):
-                    out[f"{label}_{field}"] = int(parts[1 + i])
+            out.update(zip(_cpu_keys(head), map(int, parts[1:])))
         elif head in ("ctxt", "processes", "procs_running", "procs_blocked"):
             out[head] = int(parts[1])
     return out

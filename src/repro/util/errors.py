@@ -30,10 +30,10 @@ class ProtocolError(ReproError):
     """A wire frame or payload is malformed: truncated, over-long, or
     not UTF-8.
 
-    The QUERY codecs check every length field against the bytes
-    actually left before unpacking or allocating, so hostile input ends
-    here instead of as a ``struct.error``, ``UnicodeDecodeError`` or a
-    huge allocation.  Frame decoding raises it for a corrupt frame
+    The QUERY, DIR, LOOKUP, READ_MULTI and HELLO payload decoders check
+    every length field against the bytes actually left before unpacking
+    or allocating, so hostile input ends here instead of as a
+    ``struct.error``, ``UnicodeDecodeError`` or a huge allocation.  Frame decoding raises it for a corrupt frame
     length.
     """
 

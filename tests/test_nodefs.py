@@ -1,5 +1,7 @@
 """Tests for the synthetic node filesystem and host counter models."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -152,6 +154,58 @@ class TestHostModel:
         total = h.lustre["snx11024"]["open"]
         # Mean-rate integration with 5% jitter: within 40% of rate * t.
         assert total == pytest.approx(2.0 * t, rel=0.4)
+
+
+class TestGoldenRenders:
+    """Byte-identity pins for the node-sampling path: the rendered file
+    text of two hosts and the stored ``bw_custom`` rows of a short
+    Blue Waters run.  A change to how counters are integrated (jitter
+    draw order included), rendered or parsed must keep both digests."""
+
+    def test_rendered_node_files_pinned(self):
+        from repro.cluster.machine import blue_waters
+
+        bw_profile = blue_waters(2, seed=0).nodes[0].host.profile
+        h = hashlib.sha256()
+        # The default profile draws at every jitter site (nfs, eth, ib);
+        # Blue Waters has 32 cpus, three Lustre mounts and LNET only.
+        for profile in (HostProfile(), bw_profile):
+            clock = {"t": 0.0}
+            host = HostModel("n0", lambda: clock["t"], profile, seed=7)
+            host.set_workload(cpu_user_frac=0.5, lustre_read_bps=1e8,
+                              eth_tx_bps=1e6, ib_tx_bps=1e9, lnet_send_bps=1e7)
+            for step in range(1, 61):
+                clock["t"] = step * 0.7
+                for path in host.fs.paths():
+                    h.update(path.encode() + b"\0" + host.fs.read(path).encode())
+        assert h.hexdigest() == (
+            "c75a6a01b7ebd493fe66eb72e31ca8b206beb39bfcf6165d4f524d7f0d09fa52")
+
+    def test_bw_custom_rows_pinned(self):
+        from repro.cluster.machine import blue_waters
+
+        m = blue_waters(8, seed=0)
+        dep = m.deploy_ldms(interval=1.0, fanin=8, second_level=False,
+                            store="memory")
+        for node in m.nodes:
+            node.host.set_workload(cpu_user_frac=0.5, lustre_read_bps=1e8,
+                                   lustre_open_rate=3.0, lnet_send_bps=1e7)
+        # HSN traffic and stalls so the derived gpcdr percents are live.
+        for t in range(1, 21):
+            m.run(until=t - 0.5)
+            for node in m.nodes:
+                node.gpcdr.add_traffic("X+", 1e6 * (node.index + 1) * t)
+                node.gpcdr.add_stall("Y-", 1e-3 * t)
+        m.run(until=20.0)
+        h = hashlib.sha256()
+        rows = [r for store in dep.stores for r in store.rows]
+        for r in rows:
+            assert r.schema == "bw_custom"
+            h.update(repr((r.producer, r.set_name, r.timestamp, r.names,
+                           tuple(r.values))).encode())
+        assert len(rows) == 152
+        assert h.hexdigest() == (
+            "e65e25990f12718f4d306ef002714f066ee48bbf8ec598b907c2d179d9e92632")
 
 
 class TestGpcdr:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.plugins.samplers import parsers
 from repro.plugins.samplers.parsers import (
     CPU_FIELDS,
     LNET_FIELDS,
@@ -88,6 +89,31 @@ class TestProcStat:
         stat = parse_proc_stat(PROC_STAT_SAMPLE)
         for f in CPU_FIELDS:
             assert f"cpu_{f}" in stat
+
+    def test_short_line_yields_only_its_fields(self):
+        # Kernels before 2.6 print four cpu columns.
+        stat = parse_proc_stat("cpu0 1 2 3 4\n")
+        assert list(stat.items()) == [
+            ("cpu0_user", 1), ("cpu0_nice", 2), ("cpu0_sys", 3), ("cpu0_idle", 4)]
+
+    def test_guest_columns_ignored(self):
+        ten = parse_proc_stat("cpu  1 2 3 4 5 6 7 8 9 10\n")
+        assert list(ten) == [f"cpu_{f}" for f in CPU_FIELDS]
+        assert list(ten.values()) == list(range(1, 9))
+        # Columns past the eighth are never converted.
+        assert parse_proc_stat("cpu  1 2 3 4 5 6 7 8 x y\n") == ten
+
+    def test_repeated_label_reuses_key_tuple(self):
+        text = "cpu7 1 2 3 4 5 6 7 8\nctxt 9\ncpu7 10 20 30\n"
+        before = parsers._cpu_keys.cache_info()
+        stat = parse_proc_stat(text)
+        after = parsers._cpu_keys.cache_info()
+        assert after.hits - before.hits + after.misses - before.misses == 2
+        assert after.hits > before.hits
+        assert parsers._cpu_keys("cpu7") is parsers._cpu_keys("cpu7")
+        # The later line overwrites in place: first-seen key order stays.
+        assert list(stat) == [f"cpu7_{f}" for f in CPU_FIELDS] + ["ctxt"]
+        assert list(stat.values()) == [10, 20, 30, 4, 5, 6, 7, 8, 9]
 
 
 class TestLoadavg:

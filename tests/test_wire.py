@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.core import wire
 from repro.core.metric_set import SetInfo
-from repro.util.errors import ReproError
+from repro.util.errors import ProtocolError, ReproError
 
 
 class TestFraming:
@@ -110,3 +110,94 @@ class TestUpdateCodec:
         )
         assert status == wire.E_OK
         assert data == b"\x00\x01\x02"
+
+
+# ---------------------------------------------------------------------------
+# Read-path decoders fail closed
+# ---------------------------------------------------------------------------
+
+names = st.text(st.characters(min_codepoint=33, max_codepoint=0x2FF), max_size=12)
+u32 = st.integers(0, 2**32 - 1)
+set_infos = st.builds(SetInfo, names, names, u32, u32, u32)
+read_parts = st.lists(st.one_of(st.none(), st.binary(max_size=24)), max_size=5)
+
+#: decoder -> strategy of (valid payload, what it decodes to)
+READ_PATH = {
+    wire.unpack_dir_reply: st.lists(set_infos, max_size=3).map(
+        lambda infos: (wire.pack_dir_reply(infos), infos)),
+    wire.unpack_lookup_req: names.map(
+        lambda n: (wire.pack_lookup_req(n), n)),
+    wire.unpack_lookup_reply: st.tuples(
+        st.integers(-2**31, 2**31 - 1), st.integers(0, 2**64 - 1),
+        st.binary(max_size=40)).map(
+        lambda t: (wire.pack_lookup_reply(*t), t)),
+    wire.unpack_read_multi_req: st.lists(st.integers(0, 2**64 - 1), max_size=6).map(
+        lambda ids: (wire.pack_read_multi_req(ids), ids)),
+    wire.unpack_read_multi_reply: read_parts.map(
+        lambda parts: (wire.pack_read_multi_reply(parts), parts)),
+    wire.unpack_hello: st.tuples(
+        st.floats(allow_nan=False),
+        st.frozensets(st.text("abcdef-", min_size=1, max_size=8), max_size=4)).map(
+        lambda t: (wire.pack_hello(*t), t)),
+}
+read_path_cases = st.sampled_from(sorted(READ_PATH, key=lambda f: f.__name__)).flatmap(
+    lambda fn: READ_PATH[fn].map(lambda case: (fn, *case)))
+
+
+def only_protocol_error(fn, payload):
+    try:
+        fn(payload)
+    except ProtocolError:
+        pass
+
+
+class TestReadPathFailsClosed:
+    @given(read_path_cases)
+    def test_roundtrip(self, case):
+        fn, payload, value = case
+        assert fn(payload) == value
+
+    @given(read_path_cases, st.data())
+    def test_truncated_or_extended_rejected(self, case, data):
+        fn, payload, _ = case
+        cut = data.draw(st.integers(0, len(payload) - 1))
+        for bad in (payload[:cut], payload + b"\x00"):
+            with pytest.raises(ProtocolError):
+                fn(bad)
+
+    @given(st.binary(max_size=300))
+    def test_garbage_raises_only_protocol_error(self, payload):
+        for fn in READ_PATH:
+            only_protocol_error(fn, payload)
+
+    @given(read_path_cases, st.data())
+    def test_corrupted_bytes_raise_only_protocol_error(self, case, data):
+        fn, payload, _ = case
+        buf = bytearray(payload)
+        for _ in range(data.draw(st.integers(1, 4))):
+            i = data.draw(st.integers(0, len(buf) - 1))
+            buf[i] = data.draw(st.integers(0, 255))
+        only_protocol_error(fn, bytes(buf))
+
+    def test_invalid_utf8_names(self):
+        dir_reply = bytearray(wire.pack_dir_reply([SetInfo("ab", "s", 1, 2, 3)]))
+        dir_reply[16:18] = b"\xff\xfe"
+        lookup = bytearray(wire.pack_lookup_req("ab"))
+        lookup[2:4] = b"\xc3\x28"
+        hello = bytearray(wire.pack_hello(1.0, {"ab"}))
+        hello[10:12] = b"\xff\xff"
+        for fn, bad in ((wire.unpack_dir_reply, dir_reply),
+                        (wire.unpack_lookup_req, lookup),
+                        (wire.unpack_hello, hello)):
+            with pytest.raises(ProtocolError, match="UTF-8"):
+                fn(bytes(bad))
+
+    def test_huge_counts_rejected_before_allocating(self):
+        huge = (2**32 - 1).to_bytes(4, "little")
+        for fn in (wire.unpack_dir_reply, wire.unpack_read_multi_req,
+                   wire.unpack_read_multi_reply):
+            with pytest.raises(ProtocolError):
+                fn(huge)
+        meta_len = wire.pack_lookup_reply(wire.E_OK, 1)[:12] + huge
+        with pytest.raises(ProtocolError):
+            wire.unpack_lookup_reply(meta_len)
