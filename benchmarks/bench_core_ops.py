@@ -153,6 +153,35 @@ def test_query_reply_decode(benchmark):
     assert out == rows
 
 
+#: The fan-in workload's set: the synthetic sampler at num_metrics=10.
+SYN10 = [(f"metric_{i}", MetricType.U64, 1) for i in range(10)]
+
+
+def test_set_create(benchmark):
+    """One producer set of the 10-metric synthetic layout, each round
+    in a fresh sampler-sized (8 KB) arena built outside the timing."""
+    out = benchmark.pedantic(
+        MetricSet.create,
+        setup=lambda: (("n0/syn", "synthetic", SYN10, Arena(8192)), {}),
+        rounds=5000, warmup_rounds=100)
+    assert out.card == 10
+
+
+def test_mirror_from_meta(benchmark):
+    """One aggregator mirror built from that set's metadata chunk."""
+    meta = MetricSet.create("n0/syn", "synthetic", SYN10, Arena(8192)).meta_bytes()
+    out = benchmark.pedantic(
+        MetricSet.from_meta, setup=lambda: ((meta, Arena(8192)), {}),
+        rounds=5000, warmup_rounds=100)
+    assert out.meta_bytes() == meta
+
+
+def test_arena_construct_64mb(benchmark):
+    """Reserving a daemon's 64 MB ``-m`` region."""
+    out = benchmark(Arena, 64 << 20)
+    assert out.size == 64 << 20
+
+
 def test_arena_alloc_free(benchmark):
     arena = Arena(1 << 20)
 

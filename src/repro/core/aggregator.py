@@ -33,7 +33,7 @@ from repro.core import wire
 from repro.core.metric_set import MetricSet, SchemaMismatch, SetInfo
 from repro.obs.spans import HOP_UPDATE
 from repro.transport.base import Endpoint
-from repro.util.errors import OutOfMemory, StoreError
+from repro.util.errors import OutOfMemory, ProtocolError, StoreError
 from repro.util.rngtools import stable_seed
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -422,7 +422,11 @@ class Producer:
             if span is not None:
                 self.daemon.spans.record(
                     span[0], span[1], 0, HOP_UPDATE, "lookup", t_sent, now)
-            status, region_id, meta = wire.unpack_lookup_reply(frame.payload)
+            try:
+                status, region_id, meta = wire.unpack_lookup_reply(frame.payload)
+            except ProtocolError:
+                self._reject_lookup(set_name, len(frame.payload))
+                return
             upd = self.updaters.get(set_name)
             if upd is None:
                 return
@@ -447,10 +451,24 @@ class Producer:
                 self.stats.lookups_failed += 1
                 upd.state = SetState.NEW
                 return
+            except ValueError:
+                self._reject_lookup(set_name, len(meta))
+                return
             upd.region_id = region_id
             upd.state = SetState.READY
             upd.last_dgn = None
             self.daemon._on_lookup_complete(self, upd)
+
+    def _reject_lookup(self, set_name: str, nbytes: int) -> None:
+        """A LOOKUP_REPLY whose metadata will not decode (a corrupted or
+        hostile peer): count a failed lookup, note it in the flight
+        recorder, and retry the lookup on a later update loop."""
+        self.stats.lookups_failed += 1
+        self.daemon.flight.record(self.daemon.env.now(), "lookup",
+                                  "bad_meta", nbytes)
+        upd = self.updaters.get(set_name)
+        if upd is not None:
+            upd.state = SetState.NEW
 
     def _drop_updater(self, name: str) -> None:
         """Remove one collection target set (pruned from DIR)."""

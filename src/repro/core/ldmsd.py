@@ -1092,7 +1092,7 @@ class Ldmsd:
     def _materialize_rows(self, rows: list[tuple]) -> list[StoreRecord]:
         """Turn a drained batch into records, vectorizing staged rows.
 
-        Staged rows sharing one compiled layout are joined into a
+        Staged rows sharing one set shape are joined into a
         single (n_rows, data_size) uint8 matrix; one strided view +
         ``tolist()`` then decodes every value of every row — the
         store-side half of the §IV-D claim that per-record costs must
@@ -1106,9 +1106,14 @@ class Ldmsd:
             if row.values is not None:  # already a materialized record
                 out[i] = row
             else:
-                groups.setdefault(row.mirror._compiled, []).append(i)
-        for cs, idxs in groups.items():
-            dtype = cs.array_dtype
+                groups.setdefault(row.mirror._layout, []).append(i)
+        # Layouts that differ only in metric names decode alike: one
+        # group per shape.
+        shapes: dict = {}
+        for lay, idxs in groups.items():
+            shapes.setdefault(lay.shape, (lay, []))[1].extend(idxs)
+        for lay, idxs in shapes.values():
+            dtype = lay.array_dtype
             if dtype is not None and len(idxs) >= self._VEC_MIN_ROWS:
                 import numpy as np
 
@@ -1117,7 +1122,7 @@ class Ldmsd:
                 mat = np.frombuffer(
                     b"".join(rows[i][0].data for i in idxs), dtype=np.uint8
                 ).reshape(len(idxs), len(first.data))
-                vals = (mat[:, cs.first_offset:cs.first_offset + width]
+                vals = (mat[:, lay.first_offset:lay.first_offset + width]
                         .view(dtype).tolist())
                 self._c_arena_sweeps.inc()
                 self._c_arena_rows.inc(len(idxs))
@@ -1126,9 +1131,9 @@ class Ldmsd:
                     m = sr.mirror
                     out[i] = StoreRecord(
                         timestamp=sr.ts, producer=sr.producer,
-                        set_name=m.name, schema=m.schema, names=m._names,
+                        set_name=m.name, schema=m.schema, names=m._layout.names,
                         component_ids=m._comp_ids, values=tuple(vals[j]),
-                        mtypes=cs.mtypes,
+                        mtypes=lay.mtypes,
                     )
             else:
                 for i in idxs:
@@ -1136,10 +1141,10 @@ class Ldmsd:
                     m = sr.mirror
                     out[i] = StoreRecord(
                         timestamp=sr.ts, producer=sr.producer,
-                        set_name=m.name, schema=m.schema, names=m._names,
+                        set_name=m.name, schema=m.schema, names=m._layout.names,
                         component_ids=m._comp_ids,
                         values=m.snapshot_values(sr.data),
-                        mtypes=cs.mtypes,
+                        mtypes=lay.mtypes,
                     )
         return out
 

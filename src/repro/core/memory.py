@@ -1,17 +1,24 @@
 """Arena memory manager for metric-set storage.
 
 The paper (§IV-D): "A custom memory manager is employed to manage memory
-allocation."  ldmsd pre-allocates a fixed region at start (the ``-m``
-option) and carves metric-set metadata and data chunks out of it; an
-aggregator sizes its region for every set it collects.
+allocation."  ldmsd reserves a fixed region at start (the ``-m`` option)
+and carves metric-set metadata and data chunks out of it; an aggregator
+sizes its region for every set it collects.
 
-This implementation is a first-fit free-list allocator over a single
-``bytearray``.  It exists for behavioural fidelity — daemon memory
+This implementation is a first-fit free-list allocator over one private
+anonymous mapping.  It exists for behavioural fidelity — daemon memory
 footprint is a *measured quantity* in the reproduction, and set creation
 must fail when the configured region is exhausted, as it does in ldmsd.
+The footprint it reports is the allocator's accounting (``used``,
+``peak_used``, ``size``), not resident memory: the mapping reads as
+zeros and the OS faults a page in only when a set first writes to it,
+so a daemon whose ``-m`` region is mostly idle costs only the pages its
+sets touch.
 """
 
 from __future__ import annotations
+
+import mmap
 
 from repro.util.errors import OutOfMemory
 
@@ -25,7 +32,7 @@ def _align(n: int) -> int:
 
 
 class Arena:
-    """First-fit allocator over a contiguous preallocated buffer.
+    """First-fit allocator over a contiguous reserved region.
 
     >>> a = Arena(1024)
     >>> off = a.alloc(100)
@@ -37,7 +44,11 @@ class Arena:
         if size <= 0:
             raise ValueError("arena size must be positive")
         self.size = _align(size)
-        self.buf = bytearray(self.size)
+        # Private, not mmap's default MAP_SHARED: a forked worker
+        # (run_parallel) must get copy-on-write pages, or its writes
+        # would show through in the parent's sets.
+        self.buf = mmap.mmap(-1, self.size,
+                             flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
         # Free list: sorted list of (offset, length) holes.
         self._free: list[tuple[int, int]] = [(0, self.size)]
         # Live allocations: offset -> length (aligned).

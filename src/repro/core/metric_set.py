@@ -19,31 +19,35 @@ roughly 10% of the total set size in the paper's deployments — a ratio
 this implementation reproduces (64-byte names + descriptor overhead in
 metadata vs 8-byte values in data).
 
-Schema compilation
-------------------
+Set layouts
+-----------
 
 A set's layout is frozen at :meth:`MetricSet.create` / :meth:`from_meta`
-time — that is the whole point of the MGN.  The constructor therefore
-compiles the layout once into a :class:`_CompiledSchema` (cached by
-layout, shared across sets): a single whole-row :class:`struct.Struct`
-with explicit pad bytes matching the natural-alignment layout, cached
-per-metric ``Struct`` objects, and the per-metric clamp callables.  The
-hot producer path (:meth:`set_all` / :meth:`set_values`) is then one
-``pack_into`` plus one DGN write, and the hot consumer path
-(:meth:`values` / :meth:`values_tuple` / :meth:`values_array`) is one
-``unpack_from`` — the paper's ~1.3 µs/metric collect cost (§IV-E)
-depends on exactly this "pay layout cost once" property.
+time — that is the whole point of the MGN — and a daemon holds thousands
+of sets of a handful of shapes.  Each shape is therefore compiled once
+into an interned :class:`_Layout` that every producer set and mirror of
+it shares: the metric names, name→index map, types and offsets, both
+chunk sizes, one :class:`struct.Struct` for the whole descriptor block,
+and the data-chunk codecs — a single whole-row ``Struct`` with explicit
+pad bytes matching the natural-alignment layout, per-metric ``Struct``
+objects, and the per-metric clamp callables.  A set itself keeps only
+its component ids.  The hot producer path (:meth:`set_all` /
+:meth:`set_values`) is then one ``pack_into`` plus one DGN write, and
+the hot consumer path (:meth:`values` / :meth:`values_tuple` /
+:meth:`values_array`) is one ``unpack_from`` — the paper's ~1.3
+µs/metric collect cost (§IV-E) depends on exactly this "pay layout cost
+once" property.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core import sanitize
 from repro.core.memory import Arena, OutOfMemory
-from repro.core.metric import MetricDesc, MetricType
+from repro.core.metric import METRIC_NAME_LEN, MetricDesc, MetricType
 from repro.util.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,8 +58,8 @@ __all__ = ["MetricSet", "SetInfo", "SET_NAME_LEN", "SCHEMA_NAME_LEN"]
 SET_NAME_LEN = 128
 SCHEMA_NAME_LEN = 64
 
-_META_HDR_FMT = f"<4sIIII{SET_NAME_LEN}s{SCHEMA_NAME_LEN}s"
-_META_HDR_SIZE = struct.calcsize(_META_HDR_FMT)
+_STRUCT_META_HDR = struct.Struct(f"<4sIIII{SET_NAME_LEN}s{SCHEMA_NAME_LEN}s")
+_META_HDR_SIZE = _STRUCT_META_HDR.size
 _META_MAGIC = b"LDMS"
 
 # data header: MGN u32, DGN u64, consistent u8, 3 pad, timestamp f64
@@ -96,76 +100,204 @@ class SchemaMismatch(ReproError):
     """The data chunk's MGN does not match the cached metadata's MGN."""
 
 
-class _CompiledSchema:
-    """Per-layout artifacts compiled once and reused on every sample."""
+#: One on-wire descriptor: name[64] | component id u64 | type u8 | offset u32.
+_DESC_FIELDS = MetricDesc.WIRE_FMT.lstrip("<")
+_DESC_SIZE = MetricDesc.WIRE_SIZE
+#: The component-id field of one descriptor, the rest skipped.
+_DESC_COMP_FMT = f"{METRIC_NAME_LEN}xQ{_DESC_SIZE - METRIC_NAME_LEN - 8}x"
+
+#: tag -> MetricType without the IntEnum constructor's overhead.
+_TYPE_BY_TAG = {int(t): t for t in MetricType}
+
+
+class _Layout:
+    """One set shape, compiled once and shared by every set of it.
+
+    Everything here is fixed by the metric names, types and offsets; a
+    set adds only its own name, schema, MGN and component ids.  The
+    constructor validates the shape once: unique, non-empty UTF-8 names
+    that fit the descriptor's name field, and every metric inside the
+    data chunk, after its header.
+    """
 
     __slots__ = (
+        "names",
+        "index",
+        "mtypes",
+        "offsets",
+        "card",
+        "data_size",
+        "meta_size",
+        "shape",
+        "probe",
+        "desc_struct",
+        "desc_args",
+        "comp_struct",
         "row_struct",
         "metric_structs",
-        "offsets",
         "clamps",
-        "mtypes",
-        "array_dtype",
         "first_offset",
+        "array_dtype",
         "mixed_dtype",
     )
 
+    def __init__(self, names: tuple, mtypes: tuple, offsets: tuple, data_size: int):
+        if data_size < _DATA_HDR_SIZE:
+            raise ValueError(f"data chunk of {data_size} bytes is smaller "
+                             f"than its {_DATA_HDR_SIZE}-byte header")
+        encoded = []
+        for n in names:
+            b = n.encode("utf-8")
+            if not b or b"\x00" in b:
+                raise ValueError(f"bad metric name {n!r}")
+            if len(b) >= METRIC_NAME_LEN:
+                raise ValueError(
+                    f"metric name too long ({len(b)} bytes, max "
+                    f"{METRIC_NAME_LEN - 1}): {n!r}")
+            encoded.append(b)
+        self.index = {n: i for i, n in enumerate(names)}
+        if len(self.index) != len(names):
+            dup = next(n for i, n in enumerate(names) if self.index[n] != i)
+            raise ValueError(f"duplicate metric name {dup!r}")
+        for n, t, off in zip(names, mtypes, offsets):
+            if off < _DATA_HDR_SIZE or off + t.size > data_size:
+                raise ValueError(
+                    f"metric {n!r} at offset {off} lies outside the "
+                    f"{data_size}-byte data chunk")
+        self.names = names
+        self.mtypes = mtypes
+        self.offsets = offsets
+        self.card = card = len(names)
+        self.data_size = data_size
+        self.meta_size = _META_HDR_SIZE + card * _DESC_SIZE
+        #: What the columnar arenas and the store's batch decode key on:
+        #: layouts that differ only in metric names decode alike.
+        self.shape = (data_size, mtypes, offsets)
+        #: A mirror's cheap first guess, read straight off a metadata
+        #: chunk: (data_size, card, first descriptor's name field).
+        self.probe = (data_size, card,
+                      encoded[0].ljust(METRIC_NAME_LEN, b"\x00") if card else b"")
 
-#: layout key -> _CompiledSchema.  Schemas are few in any deployment;
-#: the cap only guards against pathological churn (e.g. fuzz tests).
-_SCHEMA_CACHE: dict[tuple, _CompiledSchema] = {}
-_SCHEMA_CACHE_MAX = 1024
+        # Descriptor block: one Struct; the component ids are the only
+        # per-set fields, so packing splices them into a fixed template.
+        self.desc_struct = struct.Struct("<" + _DESC_FIELDS * card)
+        self.desc_args = [
+            f for b, t, off in zip(encoded, mtypes, offsets)
+            for f in (b, 0, int(t), off)
+        ]
+        self.comp_struct = struct.Struct("<" + _DESC_COMP_FMT * card)
+
+        self.clamps = tuple(t.clamp for t in mtypes)
+        self.metric_structs = tuple(_SCALAR_STRUCTS[t.struct_code] for t in mtypes)
+        self.first_offset = offsets[0] if card else _DATA_HDR_SIZE
+
+        # Whole-row Struct with explicit pad bytes ("4x") for the alignment
+        # holes.  Only well-formed layouts compile: offsets strictly
+        # increasing in descriptor order, no overlap.  create() always
+        # produces such a layout; a mirror of foreign metadata might not,
+        # and falls back to per-metric access.
+        fmt = ["<"]
+        cur = _DATA_HDR_SIZE
+        ok = True
+        for t, off in zip(mtypes, offsets):
+            gap = off - cur
+            if gap < 0:
+                ok = False
+                break
+            if gap:
+                fmt.append(f"{gap}x")
+            fmt.append(t.struct_code)
+            cur = off + t.size
+        self.row_struct = struct.Struct("".join(fmt)) if ok else None
+
+        # Mixed-layout values_array target dtype, resolved lazily on first
+        # use (numpy promotion over the column types, computed once).
+        self.mixed_dtype: Any = None
+
+        # Homogeneous contiguous layouts additionally decode as one numpy
+        # frombuffer (the common all-U64 case: meminfo, lustre, bw, ...).
+        self.array_dtype: Optional[str] = None
+        if self.row_struct is not None and card:
+            t0 = mtypes[0]
+            if all(t is t0 for t in mtypes) and all(
+                off == self.first_offset + i * t0.size for i, off in enumerate(offsets)
+            ):
+                self.array_dtype = "<" + _NUMPY_CODE[t0]
+
+    def pack_descs(self, comp_ids) -> bytes:
+        """The descriptor block of a set of this layout."""
+        args = self.desc_args.copy()
+        args[1::4] = comp_ids
+        return self.desc_struct.pack(*args)
 
 
-def _compile_schema(descs: list[MetricDesc], data_size: int) -> _CompiledSchema:
-    key = (data_size, tuple((int(d.mtype), d.data_offset) for d in descs))
-    cs = _SCHEMA_CACHE.get(key)
-    if cs is not None:
-        return cs
-    cs = _CompiledSchema()
-    cs.offsets = tuple(d.data_offset for d in descs)
-    cs.mtypes = tuple(d.mtype for d in descs)
-    cs.clamps = tuple(d.mtype.clamp for d in descs)
-    cs.metric_structs = tuple(_SCALAR_STRUCTS[d.mtype.struct_code] for d in descs)
-    cs.first_offset = cs.offsets[0] if descs else _DATA_HDR_SIZE
+#: The layout cache.  Three kinds of key name a layout: its full
+#: ``(names, types, offsets, data_size)``, a producer's ``(names,
+#: types)``, and a mirror's :attr:`_Layout.probe`.  Shapes are few in
+#: any deployment; the bound only guards against pathological churn
+#: (e.g. fuzzed metadata).  Live sets keep their layout when it is
+#: cleared.
+_LAYOUTS: dict[tuple, _Layout] = {}
+_LAYOUTS_MAX = 1024
 
-    # Whole-row Struct with explicit pad bytes ("4x") for the alignment
-    # holes.  Only well-formed layouts compile: offsets strictly
-    # increasing in descriptor order, starting at/after the data header,
-    # no overlap.  create() always produces such a layout; a mirror of
-    # foreign metadata might not, and falls back to per-metric access.
-    fmt = ["<"]
-    cur = _DATA_HDR_SIZE
-    ok = True
-    for d in descs:
-        gap = d.data_offset - cur
-        if gap < 0:
-            ok = False
-            break
-        if gap:
-            fmt.append(f"{gap}x")
-        fmt.append(d.mtype.struct_code)
-        cur = d.data_offset + d.mtype.size
-    cs.row_struct = struct.Struct("".join(fmt)) if ok and cur <= data_size else None
 
-    # Mixed-layout values_array target dtype, resolved lazily on first
-    # use (numpy promotion over the column types, computed once).
-    cs.mixed_dtype = None
+def _intern(names: tuple, mtypes: tuple, offsets: tuple, data_size: int) -> _Layout:
+    key = (names, mtypes, offsets, data_size)
+    lay = _LAYOUTS.get(key)
+    if lay is None:
+        lay = _Layout(names, mtypes, offsets, data_size)
+        if len(_LAYOUTS) >= _LAYOUTS_MAX:
+            _LAYOUTS.clear()
+        _LAYOUTS[key] = lay
+        _LAYOUTS[lay.probe] = lay
+    return lay
 
-    # Homogeneous contiguous layouts additionally decode as one numpy
-    # frombuffer (the common all-U64 case: meminfo, lustre, bw, ...).
-    cs.array_dtype = None
-    if cs.row_struct is not None and descs:
-        t0 = descs[0].mtype
-        if all(t is t0 for t in cs.mtypes) and all(
-            off == cs.first_offset + i * t0.size for i, off in enumerate(cs.offsets)
-        ):
-            cs.array_dtype = "<" + _NUMPY_CODE[t0]
 
-    if len(_SCHEMA_CACHE) >= _SCHEMA_CACHE_MAX:
-        _SCHEMA_CACHE.clear()
-    _SCHEMA_CACHE[key] = cs
-    return cs
+def _producer_layout(names: tuple, mtypes: tuple) -> _Layout:
+    """The layout :meth:`MetricSet.create` assigns: offsets sequential,
+    each metric naturally aligned."""
+    key = (names, mtypes)
+    lay = _LAYOUTS.get(key)
+    if lay is None:
+        offsets = []
+        off = _DATA_HDR_SIZE
+        for t in mtypes:
+            size = t.size
+            off = (off + size - 1) & ~(size - 1)
+            offsets.append(off)
+            off += size
+        lay = _intern(names, mtypes, tuple(offsets), off)
+        _LAYOUTS[key] = lay
+    return lay
+
+
+def _mirror_layout(meta: bytes, data_size: int, card: int) -> tuple[_Layout, tuple]:
+    """The layout a whole metadata chunk describes, and its component ids.
+
+    A known shape costs one probe, one component-id unpack and a byte
+    compare of the repacked descriptor block; only a new shape is
+    decoded descriptor by descriptor (and validated, by interning it).
+    """
+    end = _META_HDR_SIZE + METRIC_NAME_LEN
+    lay = _LAYOUTS.get((data_size, card, meta[_META_HDR_SIZE:end]))
+    if lay is not None:
+        comp_ids = lay.comp_struct.unpack_from(meta, _META_HDR_SIZE)
+        if meta[_META_HDR_SIZE:] == lay.pack_descs(comp_ids):
+            return lay, comp_ids
+    names, mtypes, comp_ids, offsets = [], [], [], []
+    block = meta[_META_HDR_SIZE:]
+    for name_b, comp_id, tag, off in struct.iter_unpack(MetricDesc.WIRE_FMT, block):
+        mtype = _TYPE_BY_TAG.get(tag)
+        if mtype is None:
+            raise ValueError(f"{tag} is not a valid MetricType")
+        names.append(name_b.rstrip(b"\x00").decode("utf-8"))
+        mtypes.append(mtype)
+        comp_ids.append(comp_id)
+        offsets.append(off)
+    lay = _intern(tuple(names), tuple(mtypes), tuple(offsets), data_size)
+    # The probe remembers the latest shape seen under it.
+    _LAYOUTS[lay.probe] = lay
+    return lay, tuple(comp_ids)
 
 
 @dataclass(frozen=True)
@@ -206,36 +338,28 @@ class MetricSet:
         self,
         name: str,
         schema: str,
-        descs: list[MetricDesc],
+        layout: _Layout,
+        comp_ids: tuple[int, ...],
         arena: Arena,
         mgn: int,
-        data_size: int,
         meta_src: Optional[bytes] = None,
         pool: Optional["SetArenaPool"] = None,
     ):
         self.name = name
         self.schema = schema
-        self.descs = descs
+        self._layout = layout
+        self._comp_ids = comp_ids
         self.arena = arena
         self.mgn = mgn
-        self._index = {d.name: i for i, d in enumerate(descs)}
-        if len(self._index) != len(descs):
-            raise ValueError(f"duplicate metric names in set {name!r}")
-
-        self.meta_size = _META_HDR_SIZE + len(descs) * MetricDesc.WIRE_SIZE
-        self.data_size = data_size
-
-        self._compiled = _compile_schema(descs, data_size)
-        # Record-field tuples the store pipeline reuses on every sample.
-        self._names = tuple(d.name for d in descs)
-        self._comp_ids = tuple(d.component_id for d in descs)
+        self.meta_size = layout.meta_size
+        self.data_size = data_size = layout.data_size
         # Python-int DGN shadow: producers bump this instead of
         # unpack/repacking 8 bytes from the data chunk per update.
         self._dgn = 0
 
         self._meta_off = arena.alloc(self.meta_size)
         try:
-            self._data_off = arena.alloc(self.data_size)
+            self._data_off = arena.alloc(data_size)
         except (OutOfMemory, ValueError):
             # Data chunk failed after the metadata chunk succeeded:
             # release the metadata chunk so a half-built set never
@@ -250,12 +374,12 @@ class MetricSet:
             # daemon Arena reservation above still stands — footprint
             # accounting (used/peak/OOM) is identical either way — but
             # the reserved region goes unused while the row backs _data.
-            self._ab, self._arow = pool.acquire_row(self._compiled, data_size)
+            self._ab, self._arow = pool.acquire_row(layout)
             self._data = memoryview(self._ab.block[self._arow])
         else:
             self._ab = None
             self._arow = -1
-            self._data = arena.view(self._data_off, self.data_size)
+            self._data = arena.view(self._data_off, data_size)
         self._in_transaction = False
         self._deleted = False
 
@@ -266,22 +390,18 @@ class MetricSet:
         if meta_src is not None:
             self._meta[:] = meta_src
         else:
-            struct.pack_into(
-                _META_HDR_FMT,
+            _STRUCT_META_HDR.pack_into(
                 self._meta,
                 0,
                 _META_MAGIC,
                 self.meta_size,
-                self.data_size,
-                len(descs),
+                data_size,
+                layout.card,
                 mgn,
                 name.encode("utf-8"),
                 schema.encode("utf-8"),
             )
-            pos = _META_HDR_SIZE
-            for d in descs:
-                self._meta[pos : pos + MetricDesc.WIRE_SIZE] = d.pack()
-                pos += MetricDesc.WIRE_SIZE
+            self._meta[_META_HDR_SIZE:] = layout.pack_descs(comp_ids)
         # Data header: MGN mirrored, DGN 0, consistent 0, ts 0
         _STRUCT_DATA_HDR.pack_into(self._data, 0, mgn, 0, 0, 0.0)
 
@@ -309,42 +429,44 @@ class MetricSet:
             raise ValueError(f"bad schema name {schema!r}")
         if not metrics:
             raise ValueError("metric set must contain at least one metric")
-        descs: list[MetricDesc] = []
-        off = _DATA_HDR_SIZE
-        for mname, mtype, comp_id in metrics:
-            size = mtype.size
-            off = (off + size - 1) & ~(size - 1)  # natural alignment
-            descs.append(MetricDesc(mname, mtype, comp_id, off))
-            off += size
-        return cls(name, schema, descs, arena, mgn=mgn, data_size=off, pool=pool)
+        names, mtypes, comp_ids = zip(*metrics)
+        if min(comp_ids) < 0:
+            raise ValueError("component_id must be >= 0")
+        return cls(name, schema, _producer_layout(names, mtypes), comp_ids,
+                   arena, mgn=mgn, pool=pool)
 
     @classmethod
     def from_meta(
         cls, meta: bytes | memoryview, arena: Arena,
         pool: Optional["SetArenaPool"] = None,
     ) -> "MetricSet":
-        """Construct a consumer-side mirror from a metadata chunk."""
+        """Construct a consumer-side mirror from a metadata chunk.
+
+        Malformed metadata raises :class:`ValueError`: a truncated or
+        mis-sized chunk, bad magic, a non-UTF-8 name, or a descriptor
+        that fails the layout checks (unknown type, bad or duplicate
+        name, a value outside the data chunk).
+        """
         meta = bytes(meta)
         if len(meta) < _META_HDR_SIZE:
             raise ValueError("truncated metadata chunk")
-        magic, meta_size, data_size, card, mgn, name_b, schema_b = struct.unpack_from(
-            _META_HDR_FMT, meta, 0
-        )
+        magic, meta_size, data_size, card, mgn, name_b, schema_b = (
+            _STRUCT_META_HDR.unpack_from(meta, 0))
         if magic != _META_MAGIC:
             raise ValueError("bad metadata magic")
         if len(meta) != meta_size:
             raise ValueError(f"metadata size mismatch: header says {meta_size}, got {len(meta)}")
-        end = _META_HDR_SIZE + card * MetricDesc.WIRE_SIZE
-        if len(meta) < end:
-            raise ValueError("truncated descriptor block")
-        descs = MetricDesc.unpack_block(meta[_META_HDR_SIZE:end])
+        if meta_size != _META_HDR_SIZE + card * _DESC_SIZE:
+            raise ValueError(f"metadata of {meta_size} bytes does not hold "
+                             f"{card} descriptors")
+        layout, comp_ids = _mirror_layout(meta, data_size, card)
         mset = cls(
             name_b.rstrip(b"\x00").decode("utf-8"),
             schema_b.rstrip(b"\x00").decode("utf-8"),
-            descs,
+            layout,
+            comp_ids,
             arena,
             mgn=mgn,
-            data_size=data_size,
             meta_src=meta,
             pool=pool,
         )
@@ -372,7 +494,14 @@ class MetricSet:
     @property
     def card(self) -> int:
         """Number of metrics in the set."""
-        return len(self.descs)
+        return self._layout.card
+
+    @property
+    def descs(self) -> list[MetricDesc]:
+        """The set's metric descriptors, built on demand."""
+        lay = self._layout
+        return [MetricDesc(n, t, c, off) for n, t, c, off
+                in zip(lay.names, lay.mtypes, self._comp_ids, lay.offsets)]
 
     @property
     def total_size(self) -> int:
@@ -387,20 +516,20 @@ class MetricSet:
         return SetInfo(self.name, self.schema, self.card, self.meta_size, self.data_size)
 
     def metric_names(self) -> list[str]:
-        return [d.name for d in self.descs]
+        return list(self._layout.names)
 
     def metric_types(self) -> tuple[MetricType, ...]:
-        return self._compiled.mtypes
+        return self._layout.mtypes
 
     def component_ids(self) -> tuple[int, ...]:
         return self._comp_ids
 
     def index_of(self, name: str) -> int:
-        return self._index[name]
+        return self._layout.index[name]
 
     def indices_of(self, names) -> list[int]:
         """Resolve metric names to indices once (plugin config() time)."""
-        idx = self._index
+        idx = self._layout.index
         return [idx[n] for n in names]
 
     # ------------------------------------------------------------------
@@ -452,14 +581,14 @@ class MetricSet:
         pack; out-of-range/mistyped values fall back to the type's clamp
         (C-like wraparound), exactly as the unconditional-clamp path did.
         """
-        i = metric if isinstance(metric, int) else self._index[metric]
-        cs = self._compiled
-        st = cs.metric_structs[i]
-        off = cs.offsets[i]
+        lay = self._layout
+        i = metric if isinstance(metric, int) else lay.index[metric]
+        st = lay.metric_structs[i]
+        off = lay.offsets[i]
         try:
             st.pack_into(self._data, off, value)
         except (struct.error, TypeError, OverflowError):
-            st.pack_into(self._data, off, cs.clamps[i](value))
+            st.pack_into(self._data, off, lay.clamps[i](value))
         self._dgn = dgn = (self._dgn + 1) & _U64_MASK
         _STRUCT_Q.pack_into(self._data, _DGN_OFF, dgn)
         if self._shadow is not None:
@@ -474,11 +603,11 @@ class MetricSet:
         transaction-scoped DGN bump of ``card`` — the same final DGN the
         per-metric path produces.
         """
-        card = len(self.descs)
+        lay = self._layout
+        card = lay.card
         if len(values) != card:
             raise ValueError(f"expected {card} values, got {len(values)}")
-        cs = self._compiled
-        rs = cs.row_struct
+        rs = lay.row_struct
         if rs is not None:
             try:
                 rs.pack_into(self._data, _DATA_HDR_SIZE, *values)
@@ -486,11 +615,11 @@ class MetricSet:
                 rs.pack_into(
                     self._data,
                     _DATA_HDR_SIZE,
-                    *[c(v) for c, v in zip(cs.clamps, values)],
+                    *[c(v) for c, v in zip(lay.clamps, values)],
                 )
         else:
             data = self._data
-            structs, offs, clamps = cs.metric_structs, cs.offsets, cs.clamps
+            structs, offs, clamps = lay.metric_structs, lay.offsets, lay.clamps
             for i, v in enumerate(values):
                 try:
                     structs[i].pack_into(data, offs[i], v)
@@ -515,15 +644,15 @@ class MetricSet:
     def get(self, metric: str | int) -> float | int:
         if self._shadow is not None:
             sanitize.check_read(self)
-        i = metric if isinstance(metric, int) else self._index[metric]
-        cs = self._compiled
-        return cs.metric_structs[i].unpack_from(self._data, cs.offsets[i])[0]
+        lay = self._layout
+        i = metric if isinstance(metric, int) else lay.index[metric]
+        return lay.metric_structs[i].unpack_from(self._data, lay.offsets[i])[0]
 
     def values_tuple(self) -> tuple[float | int, ...]:
         """All values in descriptor order, decoded with one unpack."""
         if self._shadow is not None:
             sanitize.check_read(self)
-        rs = self._compiled.row_struct
+        rs = self._layout.row_struct
         if rs is not None:
             return rs.unpack_from(self._data, _DATA_HDR_SIZE)
         return tuple(self.get(i) for i in range(self.card))
@@ -544,17 +673,17 @@ class MetricSet:
 
         if self._shadow is not None:
             sanitize.check_read(self)
-        cs = self._compiled
-        dtype = cs.array_dtype
+        lay = self._layout
+        dtype = lay.array_dtype
         if dtype is not None:
             return np.frombuffer(
                 self._data, dtype=dtype, count=self.card,
-                offset=cs.first_offset,
+                offset=lay.first_offset,
             ).copy()
-        mixed = cs.mixed_dtype
+        mixed = lay.mixed_dtype
         if mixed is None:
-            mixed = cs.mixed_dtype = np.result_type(
-                *(np.dtype(_NUMPY_CODE[t]) for t in cs.mtypes)
+            mixed = lay.mixed_dtype = np.result_type(
+                *(np.dtype(_NUMPY_CODE[t]) for t in lay.mtypes)
             )
         return np.asarray(self.values_tuple(), dtype=mixed)
 
@@ -567,17 +696,17 @@ class MetricSet:
         No sanitize check: the snapshot is already detached from the
         live chunk.
         """
-        cs = self._compiled
-        rs = cs.row_struct
+        lay = self._layout
+        rs = lay.row_struct
         if rs is not None:
             return rs.unpack_from(data, _DATA_HDR_SIZE)
         return tuple(
             st.unpack_from(data, off)[0]
-            for st, off in zip(cs.metric_structs, cs.offsets)
+            for st, off in zip(lay.metric_structs, lay.offsets)
         )
 
     def as_dict(self) -> dict[str, float | int]:
-        return dict(zip(self._names, self.values_tuple()))
+        return dict(zip(self._layout.names, self.values_tuple()))
 
     # ------------------------------------------------------------------
     # wire representation

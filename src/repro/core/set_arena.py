@@ -141,22 +141,23 @@ class _SetArena:
 
 
 class SetArenaPool:
-    """Per-environment registry of columnar arenas, keyed by compiled
-    schema (layout identity), so every same-layout set of the simulated
-    population shares one block family."""
+    """Per-environment registry of columnar arenas, keyed by set shape
+    (data size, types and offsets), so every same-shape set of the
+    simulated population shares one block family."""
 
     __slots__ = ("_arenas",)
 
     def __init__(self):
-        self._arenas: dict[object, _SetArena] = {}
+        self._arenas: dict[tuple, _SetArena] = {}
 
-    def acquire_row(self, compiled, data_size: int) -> tuple[ArenaBlock, int]:
-        arena = self._arenas.get(compiled)
+    def acquire_row(self, layout) -> tuple[ArenaBlock, int]:
+        arena = self._arenas.get(layout.shape)
         if arena is None:
-            dtype = compiled.array_dtype
-            n_values = len(compiled.offsets) if dtype is not None else 0
-            arena = _SetArena(data_size, dtype, compiled.first_offset, n_values)
-            self._arenas[compiled] = arena
+            dtype = layout.array_dtype
+            n_values = layout.card if dtype is not None else 0
+            arena = _SetArena(layout.data_size, dtype, layout.first_offset,
+                              n_values)
+            self._arenas[layout.shape] = arena
         return arena.acquire()
 
     def stats(self) -> dict:

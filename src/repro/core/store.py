@@ -46,7 +46,7 @@ class StoreRecord:
             producer=producer,
             set_name=mset.name,
             schema=mset.schema,
-            names=mset._names,
+            names=mset._layout.names,
             component_ids=mset._comp_ids,
             values=mset.values_tuple(),
             mtypes=mset.metric_types(),

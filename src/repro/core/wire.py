@@ -58,6 +58,10 @@ __all__ = [
     "unpack_update_req",
     "pack_update_reply",
     "unpack_update_reply",
+    "pack_read_req",
+    "unpack_read_req",
+    "pack_read_reply",
+    "unpack_read_reply",
     "pack_read_multi_req",
     "unpack_read_multi_req",
     "pack_read_multi_reply",
@@ -122,14 +126,24 @@ def pack_trace_ctx(entries: tuple) -> bytes:
     return b"".join(out)
 
 
-def unpack_trace_ctx(buf, pos: int = 0) -> tuple[tuple, int]:
-    """Decode a trace blob at ``pos``; returns (entries, bytes consumed)."""
+def unpack_trace_ctx(buf, pos: int = 0, end: int | None = None) -> tuple[tuple, int]:
+    """Decode a trace blob at ``pos`` that must fit before ``end`` (the
+    end of its frame; default the end of ``buf``); returns (entries,
+    bytes consumed)."""
+    if end is None:
+        end = len(buf)
+    if end - pos < 1:
+        raise ProtocolError("trace context is cut short: no entry count")
     (n,) = struct.unpack_from("<B", buf, pos)
+    used = 1 + n * _TRACE_ENTRY_SIZE
+    if used > end - pos:
+        raise ProtocolError(f"trace context claims {n} entries; its frame "
+                            f"has {end - pos - 1} bytes for them")
     entries = tuple(
         _TRACE_ENTRY.unpack_from(buf, pos + 1 + i * _TRACE_ENTRY_SIZE)
         for i in range(n)
     )
-    return entries, 1 + n * _TRACE_ENTRY_SIZE
+    return entries, used
 
 
 @dataclass(frozen=True)
@@ -192,8 +206,9 @@ class FrameDecoder:
                     break
                 _, mtype, rid = _HDR_STRUCT.unpack_from(buf, pos)
                 if mtype & TRACE_FLAG:
-                    trace, used = unpack_trace_ctx(buf, pos + _HDR_SIZE)
-                    payload = bytes(mv[pos + _HDR_SIZE + used : pos + 4 + flen])
+                    start, stop = pos + _HDR_SIZE, pos + 4 + flen
+                    trace, used = unpack_trace_ctx(buf, start, stop)
+                    payload = bytes(mv[start + used : stop])
                     frames.append(Frame(mtype & _MSG_TYPE_MASK, rid,
                                         payload, trace))
                 else:
@@ -347,8 +362,10 @@ def pack_advertise(name: str) -> bytes:
 
 
 def unpack_advertise(payload: bytes) -> str:
+    _need(payload, 2, "ADVERTISE")
     (n,) = struct.unpack_from("<H", payload, 0)
-    return payload[2 : 2 + n].decode("utf-8")
+    _exact(payload, 2 + n, "ADVERTISE")
+    return _utf8(payload[2:], "ADVERTISE peer name")
 
 
 def pack_update_req(region_id: int) -> bytes:
@@ -356,6 +373,7 @@ def pack_update_req(region_id: int) -> bytes:
 
 
 def unpack_update_req(payload: bytes) -> int:
+    _exact(payload, 8, "UPDATE_REQ")
     return struct.unpack_from("<Q", payload, 0)[0]
 
 
@@ -364,8 +382,35 @@ def pack_update_reply(status: int, data: bytes = b"") -> bytes:
 
 
 def unpack_update_reply(payload: bytes) -> tuple[int, bytes]:
+    _need(payload, 8, "UPDATE_REPLY")
     status, dlen = struct.unpack_from("<iI", payload, 0)
-    return status, payload[8 : 8 + dlen]
+    _exact(payload, 8 + dlen, "UPDATE_REPLY")
+    return status, payload[8:]
+
+
+# ---------------------------------------------------------------------------
+# Single READ (transport-internal, stream transports): the sock emulation
+# of a one-sided read of one registered region.
+# ---------------------------------------------------------------------------
+
+
+def pack_read_req(region_id: int) -> bytes:
+    return struct.pack("<Q", region_id)
+
+
+def unpack_read_req(payload: bytes) -> int:
+    _exact(payload, 8, "READ_REQ")
+    return struct.unpack_from("<Q", payload, 0)[0]
+
+
+def pack_read_reply(status: int, data: bytes = b"") -> bytes:
+    return struct.pack("<i", status) + data
+
+
+def unpack_read_reply(payload: bytes) -> tuple[int, bytes]:
+    _need(payload, 4, "READ_REPLY")
+    (status,) = struct.unpack_from("<i", payload, 0)
+    return status, payload[4:]
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import itertools
 import socket
-import struct
 import threading
 from typing import Callable, Optional
 
 from repro.core import wire
 from repro.transport.base import Endpoint, Listener, Transport, register_transport
-from repro.util.errors import TransportError
+from repro.util.errors import ProtocolError, TransportError
 from repro.util.timeutil import monotonic as _monotonic
 
 __all__ = ["SockTransport"]
@@ -52,6 +51,8 @@ class _SockEndpoint(Endpoint):
         self._decoder = wire.FrameDecoder()
         self._pending_reads: dict[int, Callable[[Optional[bytes]], None]] = {}
         self._read_id = itertools.count(1)
+        #: Connections closed because a frame would not decode (0 or 1).
+        self.frames_malformed = 0
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
 
     def start_reader(self) -> None:
@@ -95,7 +96,7 @@ class _SockEndpoint(Endpoint):
             self.send(
                 wire.encode_frame(
                     wire.MsgType.RDMA_READ_REQ, rid,
-                    struct.pack("<Q", region_id), trace,
+                    wire.pack_read_req(region_id), trace,
                 )
             )
         except TransportError:
@@ -145,6 +146,11 @@ class _SockEndpoint(Endpoint):
             cb(None)
 
     def _read_loop(self) -> None:
+        """Dispatch inbound frames until EOF, a socket error, or a frame
+        that will not decode.  A malformed frame leaves the stream
+        unframeable, so the connection closes the way EOF closes it
+        (pending reads fail, ``on_close`` runs); the daemon and its
+        other connections keep serving."""
         try:
             while True:
                 chunk = self.sock.recv(65536)
@@ -154,6 +160,13 @@ class _SockEndpoint(Endpoint):
                     self._dispatch(frame)
         except OSError:
             pass
+        except ProtocolError:
+            self.frames_malformed += 1
+            try:
+                self.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            self.sock.close()
         finally:
             self._fail_pending()
             self._closed()
@@ -168,7 +181,7 @@ class _SockEndpoint(Endpoint):
             self._anchor_peer_clock(peer_now)
             return
         if frame.msg_type == wire.MsgType.RDMA_READ_REQ:
-            (region_id,) = struct.unpack("<Q", frame.payload)
+            region_id = wire.unpack_read_req(frame.payload)
             if frame.trace is not None and self.on_traced_read is not None:
                 for _idx, tid, sid, hop in frame.trace:
                     self.on_traced_read(tid, sid, hop, region_id)
@@ -180,17 +193,18 @@ class _SockEndpoint(Endpoint):
                     wire.encode_frame(
                         wire.MsgType.RDMA_READ_REPLY,
                         frame.request_id,
-                        struct.pack("<i", status) + data,
+                        wire.pack_read_reply(status, data),
                     )
                 )
             except TransportError:
                 pass
             return
         if frame.msg_type == wire.MsgType.RDMA_READ_REPLY:
+            # Decoded before the pop: a malformed reply must leave its
+            # read pending, for the close to fail it.
+            status, data = wire.unpack_read_reply(frame.payload)
             cb = self._pending_reads.pop(frame.request_id, None)
             if cb is not None:
-                (status,) = struct.unpack_from("<i", frame.payload, 0)
-                data = frame.payload[4:]
                 self._account_read(len(data))
                 cb(data if status == wire.E_OK else None)
             return
@@ -213,9 +227,9 @@ class _SockEndpoint(Endpoint):
                 pass
             return
         if frame.msg_type == wire.MsgType.RDMA_READ_MULTI_REPLY:
+            parts = wire.unpack_read_multi_reply(frame.payload)
             mr = self._pending_reads.pop(frame.request_id, None)
             if mr is not None:
-                parts = wire.unpack_read_multi_reply(frame.payload)
                 self._account_read(sum(len(p) for p in parts if p is not None))
                 mr.on_complete(parts)
             return

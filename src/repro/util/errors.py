@@ -30,11 +30,12 @@ class ProtocolError(ReproError):
     """A wire frame or payload is malformed: truncated, over-long, or
     not UTF-8.
 
-    The QUERY, DIR, LOOKUP, READ_MULTI and HELLO payload decoders check
-    every length field against the bytes actually left before unpacking
-    or allocating, so hostile input ends here instead of as a
-    ``struct.error``, ``UnicodeDecodeError`` or a huge allocation.  Frame decoding raises it for a corrupt frame
-    length.
+    Every ``repro.core.wire`` payload decoder checks each length field
+    against the bytes actually left before unpacking or allocating, so
+    hostile input ends here instead of as a ``struct.error``,
+    ``UnicodeDecodeError`` or a huge allocation.  Frame decoding raises
+    it for a corrupt frame length or a trace-context blob that overruns
+    its frame.
     """
 
 

@@ -251,13 +251,18 @@ class TestPeekAndMirrorDecode:
         """A mirror built from metadata whose descriptors are not in
         offset order cannot use the whole-row Struct but must still
         read/write correctly via the per-metric path."""
-        from repro.core.metric_set import _DATA_HDR_SIZE
+        from repro.core.metric_set import (_DATA_HDR_SIZE, _META_HDR_SIZE,
+                                           _STRUCT_META_HDR)
 
         descs = [MetricDesc("hi", MetricType.U64, 0, _DATA_HDR_SIZE + 8),
                  MetricDesc("lo", MetricType.U64, 0, _DATA_HDR_SIZE)]
-        s = MetricSet("n/w", "w", descs, Arena(1 << 20), mgn=1,
-                      data_size=_DATA_HDR_SIZE + 16)
-        assert s._compiled.row_struct is None
+        meta = _STRUCT_META_HDR.pack(
+            b"LDMS", _META_HDR_SIZE + 2 * MetricDesc.WIRE_SIZE,
+            _DATA_HDR_SIZE + 16, 2, 1, b"n/w", b"w",
+        ) + b"".join(d.pack() for d in descs)
+        s = MetricSet.from_meta(meta, Arena(1 << 20))
+        assert s.descs == descs
+        assert s._layout.row_struct is None
         s.set_all([111, 222], timestamp=0.0)
         assert s.values() == [111, 222]
         assert s.get("hi") == 111 and s.get("lo") == 222

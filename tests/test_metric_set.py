@@ -293,7 +293,7 @@ class TestValuesArray:
             [("count", MetricType.U64, 1), ("load", MetricType.F64, 1)],
             arena,
         )
-        cs = s._compiled
+        cs = s._layout
         assert cs.array_dtype is None  # genuinely mixed layout
         assert cs.mixed_dtype is None  # resolved lazily
         s.begin_transaction()
@@ -314,7 +314,7 @@ class TestValuesArray:
             [("count", MetricType.U64, 1), ("load", MetricType.F64, 1)],
             arena,
         )
-        assert s2._compiled is cs
+        assert s2._layout is cs
         assert s2.values_array().dtype == expected
 
     def test_mixed_integer_promotion(self):

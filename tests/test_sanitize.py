@@ -43,7 +43,7 @@ def make_set(name="node1/fix", n=3):
 def torn_poke(mset, value=0xDEAD):
     """Write a value byte-for-byte into the data chunk, skipping the API
     (and therefore the DGN bump) — the §IV-B violation."""
-    struct.pack_into("<Q", mset._data, mset._compiled.offsets[0], value)
+    struct.pack_into("<Q", mset._data, mset._layout.offsets[0], value)
 
 
 class TestRaiseMode:

@@ -208,6 +208,70 @@ class TestSockTransport:
         assert closed.wait(5.0)
         lst.close()
 
+    def test_garbage_frame_closes_only_its_connection(self):
+        """A frame that will not decode closes that connection the way
+        EOF does and is counted; the listener keeps serving others."""
+        import socket
+
+        lst, server, client = self._pair()
+        server.register_region(5, lambda: b"still-served")
+        bad = []
+        bad_closed = threading.Event()
+
+        def on_bad(ep):
+            ep.on_close = bad_closed.set
+            bad.append(ep)
+
+        lst.on_connect = on_bad
+        garbage = (wire.encode_frame(wire.MsgType.RDMA_READ_REQ, 1, b"abc"),
+                   b"\x01\x00\x00\x00" + b"x" * 12)
+        for junk in garbage:
+            bad_closed.clear()
+            with socket.create_connection(("127.0.0.1", lst.port),
+                                          timeout=5.0) as raw:
+                raw.sendall(junk)
+                assert bad_closed.wait(5.0)
+                while raw.recv(4096):  # the HELLO, then EOF
+                    pass
+            assert bad[-1].closed and bad[-1].frames_malformed == 1
+        done = threading.Event()
+        out = []
+        client.rdma_read(5, lambda d: (out.append(d), done.set()))
+        assert done.wait(5.0)
+        assert out == [b"still-served"] and server.frames_malformed == 0
+        client.close()
+        lst.close()
+
+    def test_malformed_reply_fails_pending_reads(self):
+        """A peer answering a read with an undecodable reply: the read
+        completes with None and the connection closes."""
+        import socket
+
+        srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        srv.bind(("127.0.0.1", 0))
+        srv.listen(1)
+        x = SockTransport()
+        got = {}
+        connected = threading.Event()
+
+        def on_connected(ep):
+            got["ep"] = ep
+            connected.set()
+
+        x.connect(srv.getsockname(), on_connected)
+        conn, _ = srv.accept()
+        assert connected.wait(5.0)
+        ep = got["ep"]
+        done = threading.Event()
+        out = []
+        ep.rdma_read(5, lambda d: (out.append(d), done.set()))
+        conn.sendall(wire.encode_frame(wire.MsgType.RDMA_READ_REPLY, 1, b"ab"))
+        assert done.wait(5.0)
+        assert out == [None]
+        assert ep.closed and ep.frames_malformed == 1
+        conn.close()
+        srv.close()
+
     def test_connect_refused(self):
         x = SockTransport()
         done = threading.Event()

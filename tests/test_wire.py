@@ -1,5 +1,7 @@
 """Unit tests for the wire protocol: framing and message codecs."""
 
+import inspect
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -65,6 +67,29 @@ class TestFraming:
                                                 trace=ctx))
         assert (f.msg_type, f.request_id, f.payload, f.trace) == (
             mtype, rid, payload, ctx)
+
+    def _traced_overrun(self, count):
+        """A traced frame whose trace blob claims ``count`` entries but
+        carries none."""
+        return wire._HDR_STRUCT.pack(wire._HDR_SIZE - 4 + 1,
+                                     wire.MsgType.DIR_REQ | wire.TRACE_FLAG,
+                                     9) + bytes([count])
+
+    def test_trace_blob_bounded_by_its_frame_in_stream(self):
+        """The entry count may not read into the next frame's bytes."""
+        nxt = wire.encode_frame(wire.MsgType.DIR_REQ, 10, b"n" * 40)
+        with pytest.raises(ProtocolError, match="trace context"):
+            wire.FrameDecoder().feed(self._traced_overrun(2) + nxt)
+
+    def test_trace_blob_bounded_by_its_frame_in_datagram(self):
+        with pytest.raises(ProtocolError, match="trace context"):
+            wire.decode_frame(self._traced_overrun(1))
+
+    def test_traced_frame_without_count_rejected(self):
+        raw = wire._HDR_STRUCT.pack(wire._HDR_SIZE - 4, wire.TRACE_FLAG | 1, 1)
+        for decode in (wire.decode_frame, wire.FrameDecoder().feed):
+            with pytest.raises(ProtocolError):
+                decode(raw)
 
 
 class TestDirCodec:
@@ -135,6 +160,15 @@ READ_PATH = {
         lambda ids: (wire.pack_read_multi_req(ids), ids)),
     wire.unpack_read_multi_reply: read_parts.map(
         lambda parts: (wire.pack_read_multi_reply(parts), parts)),
+    wire.unpack_advertise: names.map(
+        lambda n: (wire.pack_advertise(n), n)),
+    wire.unpack_update_req: st.integers(0, 2**64 - 1).map(
+        lambda r: (wire.pack_update_req(r), r)),
+    wire.unpack_update_reply: st.tuples(
+        st.integers(-2**31, 2**31 - 1), st.binary(max_size=40)).map(
+        lambda t: (wire.pack_update_reply(*t), t)),
+    wire.unpack_read_req: st.integers(0, 2**64 - 1).map(
+        lambda r: (wire.pack_read_req(r), r)),
     wire.unpack_hello: st.tuples(
         st.floats(allow_nan=False),
         st.frozensets(st.text("abcdef-", min_size=1, max_size=8), max_size=4)).map(
@@ -186,9 +220,12 @@ class TestReadPathFailsClosed:
         lookup[2:4] = b"\xc3\x28"
         hello = bytearray(wire.pack_hello(1.0, {"ab"}))
         hello[10:12] = b"\xff\xff"
+        advertise = bytearray(wire.pack_advertise("ab"))
+        advertise[2:4] = b"\xff\xfe"
         for fn, bad in ((wire.unpack_dir_reply, dir_reply),
                         (wire.unpack_lookup_req, lookup),
-                        (wire.unpack_hello, hello)):
+                        (wire.unpack_hello, hello),
+                        (wire.unpack_advertise, advertise)):
             with pytest.raises(ProtocolError, match="UTF-8"):
                 fn(bytes(bad))
 
@@ -201,3 +238,43 @@ class TestReadPathFailsClosed:
         meta_len = wire.pack_lookup_reply(wire.E_OK, 1)[:12] + huge
         with pytest.raises(ProtocolError):
             wire.unpack_lookup_reply(meta_len)
+
+
+#: Every payload decoder the wire module defines, found by name so a
+#: future ``unpack_*`` is covered without editing this list.
+UNPACKERS = sorted(
+    (fn for name, fn in vars(wire).items()
+     if name.startswith("unpack_") and inspect.isfunction(fn)),
+    key=lambda fn: fn.__name__)
+
+
+def _required_extra_args(fn) -> int:
+    params = list(inspect.signature(fn).parameters.values())[1:]
+    return sum(1 for p in params if p.default is inspect.Parameter.empty)
+
+
+class TestEveryUnpackerFailsClosed:
+    def test_introspection_finds_the_decoders(self):
+        found = {fn.__name__ for fn in UNPACKERS}
+        assert {"unpack_advertise", "unpack_update_req", "unpack_update_reply",
+                "unpack_trace_ctx", "unpack_read_req", "unpack_read_reply",
+                "unpack_query_rows", "unpack_hello"} <= found
+
+    @given(st.sampled_from(UNPACKERS), st.binary(max_size=300), st.data())
+    def test_garbage_raises_only_protocol_error(self, fn, payload, data):
+        extra = [data.draw(st.integers(0, 64))
+                 for _ in range(_required_extra_args(fn))]
+        try:
+            fn(payload, *extra)
+        except ProtocolError:
+            pass
+
+    def test_trace_ctx_roundtrip_and_bounds(self):
+        ctx = ((0, 42, 7, 2), (3, 2**64 - 1, 9, 1))
+        blob = wire.pack_trace_ctx(ctx)
+        assert wire.unpack_trace_ctx(blob + b"payload") == (ctx, len(blob))
+        assert wire.unpack_trace_ctx(b"xx" + blob, 2) == (ctx, len(blob))
+        with pytest.raises(ProtocolError):
+            wire.unpack_trace_ctx(blob + b"payload", 0, len(blob) - 1)
+        with pytest.raises(ProtocolError):
+            wire.unpack_trace_ctx(b"")
