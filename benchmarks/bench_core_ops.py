@@ -5,6 +5,8 @@ These are the operations whose cost model the simulator parameterises
 benches keep the implementation honest about them.
 """
 
+import itertools
+
 import numpy as np
 
 from repro.core import wire
@@ -275,16 +277,50 @@ def test_obs_disabled_noop(benchmark):
     benchmark(h.observe, 12.5e-6)
 
 
-def test_flow_engine_accumulate(benchmark):
-    """One integration step over the full 24^3 torus link arrays."""
+def _flow_engine_24(n_flows=200):
+    """A FlowEngine on the full 24^3 torus carrying ``n_flows`` random
+    1 GB/s flows, and the rng that placed them."""
     from repro.network.torus import GeminiTorus
     from repro.network.traffic import FlowEngine
 
     torus = GeminiTorus(dims=(24, 24, 24))
     engine = FlowEngine(torus)
     rng = np.random.default_rng(1)
-    for _ in range(200):
+    for _ in range(n_flows):
         a, b = rng.integers(0, torus.n_nodes, 2)
         if a != b:
             engine.add_flow(int(a), int(b), 1e9)
+    return engine, rng
+
+
+def test_flow_engine_accumulate(benchmark):
+    """One integration step over the full 24^3 torus link arrays.  The
+    flow set does not change between steps, so each step reads the
+    model arrays cached for it."""
+    engine, _ = _flow_engine_24()
     benchmark(engine.accumulate, 60.0)
+
+
+def test_flow_engine_add_remove(benchmark):
+    """One flow added and removed again on the 24^3 torus carrying 200
+    flows (routing, the per-hop load update and the clamp)."""
+    engine, rng = _flow_engine_24()
+    n = engine.torus.n_nodes
+    pairs = itertools.cycle([(int(a), int((a + 1 + b) % n))
+                             for a, b in rng.integers(0, n - 1, (64, 2))])
+
+    def one_round():
+        src, dst = next(pairs)
+        engine.remove_flow(engine.add_flow(src, dst, 2e9))
+
+    benchmark(one_round)
+
+
+def test_hsn_trace_hour(benchmark):
+    """The first simulated hour of the bw_day HSN trace at 24^3: sixty
+    one-minute samples of per-Gemini X+/Y+ stall and bandwidth."""
+    from repro.experiments.bw_day import HOUR, build_trace
+
+    trace, _ = build_trace()
+    res = benchmark.pedantic(trace.run, args=(HOUR,), rounds=5)
+    assert res.stall_pct["X+"].shape == (60, 24 ** 3)

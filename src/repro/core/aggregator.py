@@ -388,7 +388,13 @@ class Producer:
 
     def _on_message_locked(self, raw: bytes) -> None:
         with self.daemon.lock:
-            self._on_message(raw)
+            try:
+                self._on_message(raw)
+            except ProtocolError:
+                # A reply that will not decode: dropped and counted, as
+                # the daemon's serve side does; the updater that waited
+                # for it retries on a later loop.
+                self.daemon._frame_malformed(len(raw))
 
     def _on_message(self, raw: bytes) -> None:
         frame = wire.decode_frame(raw)

@@ -549,6 +549,22 @@ class Ldmsd:
                 return
 
     def _serve(self, endpoint: Endpoint, raw: bytes) -> None:
+        try:
+            self._serve_frame(endpoint, raw)
+        except ProtocolError:
+            with self.lock:
+                self._frame_malformed(len(raw))
+
+    def _frame_malformed(self, nbytes: int) -> None:
+        """Drop an inbound frame that will not decode (a corrupted or
+        hostile peer): count it and note it in the flight recorder.  The
+        connection and every other peer keep being served.  The counter
+        is looked up here, not bound at construction, so the error path
+        costs daemons nothing."""
+        self.obs.counter("frames_malformed").inc()
+        self.flight.record(self.env.now(), "conn", "frame_malformed", nbytes)
+
+    def _serve_frame(self, endpoint: Endpoint, raw: bytes) -> None:
         with self.lock:
             frame = wire.decode_frame(raw)
             if frame.msg_type == wire.MsgType.ADVERTISE:

@@ -18,6 +18,7 @@ sets touch.
 
 from __future__ import annotations
 
+import bisect
 import mmap
 
 from repro.util.errors import OutOfMemory
@@ -96,19 +97,18 @@ class Arena:
         except KeyError:
             raise ValueError(f"free of unallocated offset {offset}") from None
         self._used -= length
-        # Insert hole keeping the list sorted by offset, then coalesce.
-        self._free.append((offset, length))
-        self._free.sort()
-        merged: list[tuple[int, int]] = []
-        for off, ln in self._free:
-            if merged and merged[-1][0] + merged[-1][1] == off:
-                prev_off, prev_ln = merged[-1]
-                merged[-1] = (prev_off, prev_ln + ln)
-            else:
-                merged.append((off, ln))
-        self._free = merged
         # Hygiene: zero the region so stale data never leaks into new sets.
         self.buf[offset : offset + length] = bytes(length)
+        # The free list is sorted by offset and fully coalesced, so the
+        # new hole can only merge with its two neighbours.
+        free = self._free
+        i = bisect.bisect_left(free, (offset, 0))
+        if i < len(free) and free[i][0] == offset + length:
+            length += free.pop(i)[1]
+        if i > 0 and free[i - 1][0] + free[i - 1][1] == offset:
+            free[i - 1] = (free[i - 1][0], free[i - 1][1] + length)
+        else:
+            free.insert(i, (offset, length))
 
     def view(self, offset: int, nbytes: int) -> memoryview:
         """A writable view of an allocated region."""

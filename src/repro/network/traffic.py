@@ -11,6 +11,12 @@ integration between events is linear and fully vectorised:
     traffic  += delivered * dt
     stall_ns += stall * dt * 1e9
 
+The model is a function of the flow set, not of the clock: every flow
+mutation bumps :attr:`FlowEngine.load_version`, and the stall and
+delivered-bandwidth arrays are evaluated at most once per version and
+handed out read-only (:meth:`FlowEngine.stall_now`,
+:meth:`FlowEngine.percent_bw_now`).
+
 :meth:`FlowEngine.accumulate` advances those cumulative counters; the
 per-node gpcdr view (what the sampler reads) is either a live
 :class:`~repro.nodefs.gpcdr.GpcdrModel` attached via
@@ -31,6 +37,11 @@ from repro.util.errors import SimulationError
 __all__ = ["Flow", "FlowEngine"]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass
 class Flow:
     """A steady stream of ``bps`` bytes/s from ``src_node`` to ``dst_node``."""
@@ -39,9 +50,20 @@ class Flow:
     dst_node: int
     bps: float
     tag: str = ""
-    # (gemini, direction) hops filled in by the engine.
-    hops: list[tuple[int, int]] = field(default_factory=list, repr=False)
+    # The links the flow crosses as flat indices ``6 * gemini +
+    # direction`` into the load array, filled in by the engine.  A
+    # dimension-ordered path never visits a link twice, so one
+    # fancy-indexed update adds to each link exactly once.  A plain
+    # list: numpy indexes one flat index faster than a (gems, dirs)
+    # pair, and thousands of small long-lived numpy buffers fragment
+    # the heap under the per-version model arrays, raising peak RSS.
+    index: list[int] = field(default_factory=list, repr=False)
     active: bool = False
+
+    @property
+    def hops(self) -> list[tuple[int, int]]:
+        """The path as [(gemini, direction index), ...]."""
+        return [divmod(i, 6) for i in self.index]
 
 
 class FlowEngine:
@@ -56,7 +78,14 @@ class FlowEngine:
         self.clock = clock
         self._last_t = float(clock()) if clock is not None else 0.0
         G = torus.n_geminis
-        self.load = np.zeros((G, 6))  # offered bytes/s per (gemini, dir)
+        #: offered bytes/s per (gemini, dir); change it only through the
+        #: flow methods, which keep :attr:`load_version` in step.
+        self.load = np.zeros((G, 6))
+        self._flat_load = self.load.reshape(-1)  # a view, for flow.index
+        #: Bumped by every flow mutation, which also drops the cached
+        #: model arrays of the previous version.
+        self.load_version = 0
+        self._model_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.traffic = np.zeros((G, 6))  # delivered bytes, cumulative
         self.packets = np.zeros((G, 6))
         self.stall_ns = np.zeros((G, 6))
@@ -79,9 +108,10 @@ class FlowEngine:
         flow = Flow(src_node, dst_node, bps, tag)
         src_g = self.torus.node_gemini(src_node)
         dst_g = self.torus.node_gemini(dst_node)
-        flow.hops = self.torus.route(src_g, dst_g)
-        for gem, d in flow.hops:
-            self.load[gem, d] += bps
+        flow.index = [6 * gem + d for gem, d in self.torus.route(src_g, dst_g)]
+        self._flat_load[flow.index] += bps
+        self.load_version += 1
+        self._model_cache = None
         flow.active = True
         fid = self._next_id
         self._next_id += 1
@@ -94,21 +124,25 @@ class FlowEngine:
         flow = self._flow_objs.pop(fid, None)
         if flow is None or not flow.active:
             raise SimulationError(f"no active flow {fid}")
-        for gem, d in flow.hops:
-            self.load[gem, d] -= flow.bps
+        self._shift(flow, -flow.bps)
         flow.active = False
         self.flows.discard(fid)
-        # Guard against floating-point drift going negative.
-        np.clip(self.load, 0.0, None, out=self.load)
 
     def set_flow_rate(self, fid: int, bps: float) -> None:
         self.accumulate_to()
         flow = self._flow_objs[fid]
-        delta = bps - flow.bps
-        for gem, d in flow.hops:
-            self.load[gem, d] += delta
+        self._shift(flow, bps - flow.bps)
         flow.bps = bps
-        np.clip(self.load, 0.0, None, out=self.load)
+
+    def _shift(self, flow: Flow, delta: float) -> None:
+        """Add ``delta`` along ``flow``'s hops and clamp those hops at 0
+        against floating-point drift.  Every other link is untouched and
+        was never negative, so clamping only the hops equals clamping
+        the whole array."""
+        idx = flow.index
+        self._flat_load[idx] = np.clip(self._flat_load[idx] + delta, 0.0, None)
+        self.load_version += 1
+        self._model_cache = None
 
     # ------------------------------------------------------------------
     # integration
@@ -133,8 +167,7 @@ class FlowEngine:
             raise SimulationError("dt must be >= 0")
         if dt == 0:
             return
-        delivered = delivered_bandwidth(self.load, self.capacity)
-        stall = stall_fraction(self.load, self.capacity)
+        stall, delivered, _ = self._model()
         self.traffic += delivered * dt
         self.packets += delivered * dt / self.mean_packet
         self.stall_ns += stall * dt * 1e9
@@ -167,13 +200,27 @@ class FlowEngine:
         """(G, 6) offered load / capacity."""
         return self.load / self.capacity
 
+    def _model(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(stall fraction, delivered bytes/s, percent of max bandwidth),
+        each (G, 6), evaluated once per :attr:`load_version`."""
+        model = self._model_cache
+        if model is None:
+            delivered = delivered_bandwidth(self.load, self.capacity)
+            model = self._model_cache = (
+                _read_only(stall_fraction(self.load, self.capacity)),
+                _read_only(delivered),
+                _read_only(100.0 * delivered / self.capacity))
+        return model
+
     def stall_now(self) -> np.ndarray:
-        """(G, 6) instantaneous stall fraction."""
-        return stall_fraction(self.load, self.capacity)
+        """(G, 6) instantaneous stall fraction (read-only, cached per
+        load version)."""
+        return self._model()[0]
 
     def percent_bw_now(self) -> np.ndarray:
-        """(G, 6) instantaneous delivered bandwidth as % of theoretical max."""
-        return 100.0 * delivered_bandwidth(self.load, self.capacity) / self.capacity
+        """(G, 6) instantaneous delivered bandwidth as % of theoretical
+        max (read-only, cached per load version)."""
+        return self._model()[2]
 
     def latency(self, src_node: int, dst_node: int, nbytes: int,
                 per_hop: float = 105e-9) -> float:
@@ -187,10 +234,8 @@ class FlowEngine:
         dst_g = self.torus.node_gemini(dst_node)
         hops = self.torus.hop_count(src_g, dst_g)
         path = self.torus.route(src_g, dst_g)
-        worst_stall = 0.0
-        for gem, d in path:
-            worst_stall = max(worst_stall, float(stall_fraction(self.load[gem, d],
-                                                                self.capacity[gem, d])))
+        stall = self._model()[0]
+        worst_stall = max((float(stall[gem, d]) for gem, d in path), default=0.0)
         cap = min((float(self.capacity[gem, d]) for gem, d in path), default=1e9)
         ser = nbytes / cap
         return hops * per_hop + ser * (1.0 + 4.0 * worst_stall)

@@ -136,64 +136,80 @@ class HsnFleetTrace:
                 f"sample_range {sample_range!r} outside 0..{n_samples}")
         G = self.torus.n_geminis
         times = (np.arange(s0, s1) + 1) * self.sample_interval
-        dir_idx = {d: DIR_INDEX[d] for d in directions}
+        cols = [DIR_INDEX[d] for d in directions]
         shape = (s1 - s0, G)
         stall = {d: np.empty(shape, dtype=np.float32) for d in directions}
         bw = {d: np.empty(shape, dtype=np.float32) for d in directions}
 
-        ei = 0
-        # Fast-forward: apply every event due before the slice start so
-        # the flow set matches the full run's state at t = s0 * interval.
-        t_start = s0 * self.sample_interval
-        while ei < len(events) and events[ei].t < t_start:
-            ev = events[ei]
+        # Rows 0..k-1: the stall fraction of each requested direction;
+        # rows k..2k-1: its delivered fraction of max bandwidth.  ``now``
+        # holds them for the engine's flow set of ``version``: loads are
+        # piecewise constant, so they change only when a flow event does.
+        k = len(directions)
+        now, acc, tmp = (np.empty((2 * k, G)) for _ in range(3))
+        outs = [stall[d] for d in directions] + [bw[d] for d in directions]
+        version = -1
+
+        def accumulate(dt: float) -> None:
+            nonlocal version
+            if version != engine.load_version:
+                now[:k] = engine.stall_now()[:, cols].T
+                now[k:] = (engine.percent_bw_now()[:, cols] / 100.0).T
+                version = engine.load_version
+            np.add(acc, np.multiply(now, dt, out=tmp), out=acc)
+
+        def apply(ev: _FlowEvent) -> None:
             if ev.kind == "add":
                 fids[ev.key] = engine.add_flow(ev.src, ev.dst, ev.bps)
             else:
                 fid = fids.pop(ev.key, None)
                 if fid is not None:
                     engine.remove_flow(fid)
+
+        ei = 0
+        # Fast-forward: apply every event due before the slice start so
+        # the flow set matches the full run's state at t = s0 * interval.
+        t_start = s0 * self.sample_interval
+        while ei < len(events) and events[ei].t < t_start:
+            apply(events[ei])
             ei += 1
         t = t_start
+        # (load version, span) of the previous row when no flow event fell
+        # inside its interval: such a row depends on nothing else, so the
+        # next quiet interval with the same key repeats it exactly.
+        quiet_key = None
         for s in range(s0, s1):
             t_next = (s + 1) * self.sample_interval
-            # Apply events due before this sample boundary.  Loads are
-            # piecewise constant; the recorded value is the average over
-            # the interval, weighted by sub-interval durations.
-            acc_stall = {d: np.zeros(G) for d in directions}
-            acc_bw = {d: np.zeros(G) for d in directions}
+            span = t_next - t
+            quiet = ei == len(events) or events[ei].t >= t_next
+            if quiet and quiet_key == (engine.load_version, span):
+                for out in outs:
+                    out[s - s0] = out[s - s0 - 1]
+                t = t_next
+                continue
+            # Apply events due before this sample boundary.  The recorded
+            # value is the average over the interval, weighted by
+            # sub-interval durations.
+            acc.fill(0.0)
             t_cursor = t
             while ei < len(events) and events[ei].t < t_next:
                 ev = events[ei]
                 dt = max(ev.t - t_cursor, 0.0)
                 if dt > 0:
-                    self._accumulate(engine, dir_idx, acc_stall, acc_bw, dt)
+                    accumulate(dt)
                     t_cursor = ev.t
-                if ev.kind == "add":
-                    fids[ev.key] = engine.add_flow(ev.src, ev.dst, ev.bps)
-                else:
-                    fid = fids.pop(ev.key, None)
-                    if fid is not None:
-                        engine.remove_flow(fid)
+                apply(ev)
                 ei += 1
             dt = t_next - t_cursor
             if dt > 0:
-                self._accumulate(engine, dir_idx, acc_stall, acc_bw, dt)
-            span = t_next - t
-            for d in directions:
-                stall[d][s - s0] = 100.0 * acc_stall[d] / span
-                bw[d][s - s0] = 100.0 * acc_bw[d] / span
+                accumulate(dt)
+            np.divide(np.multiply(100.0, acc, out=tmp), span, out=tmp)
+            for out, row in zip(outs, tmp):
+                out[s - s0] = row
+            quiet_key = (engine.load_version, span) if quiet else None
             t = t_next
         return HsnTraceResult(times=times, stall_pct=stall, bw_pct=bw,
                               torus=self.torus)
-
-    def _accumulate(self, engine: FlowEngine, dir_idx, acc_stall, acc_bw,
-                    dt: float) -> None:
-        stall_now = engine.stall_now()
-        bw_now = engine.percent_bw_now() / 100.0
-        for d, j in dir_idx.items():
-            acc_stall[d] += stall_now[:, j] * dt
-            acc_bw[d] += bw_now[:, j] * dt
 
 
 class RateFleet:

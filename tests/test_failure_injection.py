@@ -4,8 +4,9 @@ torn reads under adversarial timing."""
 import pytest
 
 import repro.plugins  # noqa: F401
-from repro.core import Ldmsd, SimEnv
+from repro.core import Ldmsd, SimEnv, wire
 from repro.sim.engine import Engine
+from repro.transport.local import LocalTransport
 from repro.transport.simfabric import SimFabric, SimTransport
 
 
@@ -184,3 +185,117 @@ class TestTornReads:
         finally:
             # Undo the class-level patch for other tests.
             del type(plug).sample_cost
+
+
+def _short(frame: bytes) -> bytes:
+    """``frame`` one byte short, with its length field shrunk to match,
+    so the frame itself decodes and only its payload is malformed."""
+    body = frame[:-1]
+    return (len(body) - 4).to_bytes(4, "little") + body[4:]
+
+
+#: Frames a corrupted or hostile peer might send a daemon: garbage that
+#: is not even a frame, and three requests whose payload is a byte short.
+MALFORMED_REQUESTS = (
+    b"\x03\x00",
+    _short(wire.encode_frame(wire.MsgType.LOOKUP_REQ, 7,
+                             wire.pack_lookup_req("s0/syn"))),
+    _short(wire.encode_frame(wire.MsgType.ADVERTISE, 0,
+                             wire.pack_advertise("s0"))),
+    _short(wire.encode_frame(wire.MsgType.UPDATE_REQ, 8,
+                             wire.pack_update_req(1))),
+)
+
+
+class TestMalformedFrames:
+    """A frame that will not decode is dropped and counted: it never
+    escapes ``Engine.run``, and the daemon keeps serving other peers."""
+
+    def _hostile(self, transport, addr, frames):
+        sent = []
+
+        def on_connected(ep):
+            for f in frames:
+                ep.send(f)
+            sent.append(ep)
+
+        transport.connect(addr, on_connected)
+        return sent
+
+    def _check_served(self, eng, target, agg, st, n_bad):
+        eng.run(until=8.0)
+        assert target.obs.counter("frames_malformed").value == n_bad
+        events = [e for e in target.flight.snapshot()
+                  if e["event"] == "frame_malformed"]
+        assert len(events) == n_bad
+        assert agg.producers["s0"].stats.lookups_sent >= 1
+        assert len(st.rows) >= 5
+
+    def test_simfabric_daemon_survives_malformed_requests(self, world):
+        eng, env, fabric = world
+        s0 = sampler(world, "s0")
+        agg = aggregator(world)
+        st = agg.add_store("memory")
+        agg.add_producer("s0", "rdma", "s0:411", interval=1.0)
+        sent = self._hostile(SimTransport(fabric, "rdma", node_id="evil"),
+                             "s0:411", MALFORMED_REQUESTS)
+        self._check_served(eng, s0, agg, st, len(MALFORMED_REQUESTS))
+        assert len(sent) == 1 and not sent[0].closed
+
+    def test_local_daemon_survives_malformed_requests(self):
+        eng = Engine()
+        env = SimEnv(eng)
+        xprt = LocalTransport()
+        s0 = Ldmsd("s0", env=env, transports={"local": xprt})
+        s0.load_sampler("synthetic", instance="s0/syn", component_id=1,
+                        num_metrics=8)
+        s0.start_sampler("s0/syn", interval=1.0)
+        s0.listen("local", "s0:411")
+        agg = Ldmsd("agg", env=env, transports={"local": xprt})
+        st = agg.add_store("memory")
+        agg.add_producer("s0", "local", "s0:411", interval=1.0)
+        self._hostile(xprt, "s0:411", MALFORMED_REQUESTS)
+        self._check_served(eng, s0, agg, st, len(MALFORMED_REQUESTS))
+
+    def test_lookup_req_one_byte_short(self, world):
+        """``eng.run`` returns past the short LOOKUP_REQ, and the daemon
+        keeps serving a producer that was collecting before it and one
+        that connects after it."""
+        eng, env, fabric = world
+        s0 = sampler(world, "s0")
+        agg = aggregator(world)
+        st = agg.add_store("memory")
+        agg.add_producer("s0", "rdma", "s0:411", interval=1.0)
+        eng.run(until=3.0)
+        before = len(st.rows)
+        self._hostile(SimTransport(fabric, "rdma", node_id="evil"),
+                      "s0:411", MALFORMED_REQUESTS[1:2])
+        eng.run(until=4.0)
+        assert s0.obs.counter("frames_malformed").value == 1
+        late = aggregator(world, name="late")
+        st2 = late.add_store("memory")
+        late.add_producer("s0", "rdma", "s0:411", interval=1.0)
+        eng.run(until=10.0)
+        assert len(st.rows) >= before + 5
+        assert len(st2.rows) >= 4
+
+    def test_producer_drops_malformed_reply(self, world):
+        """A target answering with undecodable frames: the aggregator
+        drops and counts them, and its other producers keep storing."""
+        eng, env, fabric = world
+        sampler(world, "s0")
+        evil = SimTransport(fabric, "rdma", node_id="evil")
+        replies = (b"\x03\x00",
+                   _short(wire.encode_frame(wire.MsgType.DIR_REPLY, 0,
+                                            wire.pack_dir_reply([]))))
+        evil.listen("evil:411",
+                    lambda ep: setattr(ep, "on_message",
+                                       lambda raw: [ep.send(r) for r in replies]))
+        agg = aggregator(world)
+        st = agg.add_store("memory")
+        agg.add_producer("evil", "rdma", "evil:411", interval=1.0)
+        agg.add_producer("s0", "rdma", "s0:411", interval=1.0)
+        eng.run(until=8.0)
+        assert agg.obs.counter("frames_malformed").value >= 2
+        assert {r.set_name for r in st.rows} == {"s0/syn"}
+        assert len(st.rows) >= 5

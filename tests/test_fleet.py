@@ -7,6 +7,8 @@ and (b) the vectorised fleet path, and requires the derived
 percent-stalled values to agree.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,29 @@ class TestHsnFleetTrace:
         tr = HsnFleetTrace(self._torus())
         with pytest.raises(SimulationError):
             tr.add_job(0, 1, np.arange(4), 1e9, pattern="starburst")
+
+
+#: sha256 of the full HSN day on an 8x8x8 torus (10-minute samples, 8
+#: background jobs): ``stall_pct`` then ``bw_pct``, X+ then Y+, in the
+#: order the benchmark hashes them.  Computed when the congestion model
+#: was still evaluated once per integration step, so it pins that the
+#: per-flow-set cache changed no value.
+DAY_8_DIGEST = "745bf3f47849fc669c783baa0321e4cd05f00b4d13b7e773329ea7b26e115317"
+
+
+def test_bw_day_digest_pinned():
+    """The whole day, through ``run_day``: in one process, or in forked
+    time slices when ``REPRO_SHARDS`` >= 2 — both must hash the same."""
+    from repro.experiments.bw_day import run_day
+
+    res, _ = run_day(dims=(8, 8, 8), sample_interval=600.0,
+                     background_jobs=8)
+    h = hashlib.sha256()
+    for kind in ("stall_pct", "bw_pct"):
+        for d in ("X+", "Y+"):
+            h.update(memoryview(np.ascontiguousarray(getattr(res, kind)[d])))
+    assert res.stall_pct["X+"].shape == (144, 512)
+    assert h.hexdigest() == DAY_8_DIGEST
 
 
 class TestRateFleet:

@@ -126,3 +126,52 @@ class TestArenaPropertyBased:
         spans = sorted(live.items())
         for (o1, l1), (o2, _l2) in zip(spans, spans[1:]):
             assert o1 + l1 <= o2
+
+
+class _SortedRebuildArena(Arena):
+    """Reference free: append the hole, sort the whole list and rebuild
+    it with every run of touching holes merged."""
+
+    def free(self, offset: int) -> None:
+        length = self._live.pop(offset)
+        self._used -= length
+        merged: list[tuple[int, int]] = []
+        for off, ln in sorted(self._free + [(offset, length)]):
+            if merged and merged[-1][0] + merged[-1][1] == off:
+                merged[-1] = (merged[-1][0], merged[-1][1] + ln)
+            else:
+                merged.append((off, ln))
+        self._free = merged
+        self.buf[offset : offset + length] = bytes(length)
+
+
+class TestFreeMatchesSortedRebuild:
+    @given(st.lists(st.tuples(st.integers(1, 96), st.integers(0, 3)),
+                    min_size=1, max_size=120))
+    def test_same_free_list_and_offsets(self, ops):
+        """Random alloc/free sequences: the neighbour-merge free gives
+        the sorted-rebuild free list after every step, and so every
+        later first-fit offset is the same."""
+        a, ref = Arena(4096), _SortedRebuildArena(4096)
+        live: list[int] = []
+        for size, pick in ops:
+            if pick and live:
+                off = live.pop((size * pick) % len(live))
+                a.free(off)
+                ref.free(off)
+            else:
+                try:
+                    off = a.alloc(size)
+                except OutOfMemory:
+                    with pytest.raises(OutOfMemory):
+                        ref.alloc(size)
+                    continue
+                assert ref.alloc(size) == off
+                a.view(off, size)[:] = b"\xff" * size
+                live.append(off)
+            assert a._free == ref._free
+            assert a.used == ref.used
+        for off in live:
+            a.free(off)
+        assert a._free == [(0, a.size)]
+        assert bytes(a.buf) == bytes(a.size)

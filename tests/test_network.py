@@ -217,6 +217,111 @@ class TestFlowEngine:
         assert u.max() == pytest.approx(1.0, rel=0.01)
 
 
+def _fresh_pct_bw(eng):
+    return 100.0 * delivered_bandwidth(eng.load, eng.capacity) / eng.capacity
+
+
+class TestFlowEngineModelCache:
+    """The stall and bandwidth arrays are evaluated once per flow set
+    and must always equal a fresh evaluation of the model."""
+
+    def _assert_fresh(self, eng):
+        assert np.array_equal(eng.stall_now(),
+                              stall_fraction(eng.load, eng.capacity))
+        assert np.array_equal(eng.percent_bw_now(), _fresh_pct_bw(eng))
+
+    def test_cache_follows_every_flow_mutation(self, torus):
+        eng = FlowEngine(torus)
+        self._assert_fresh(eng)
+        versions = [eng.load_version]
+        a = eng.add_flow(0, 100, 3e9)
+        b = eng.add_flow(5, 200, 7e9)
+        self._assert_fresh(eng)
+        eng.set_flow_rate(a, 11e9)
+        self._assert_fresh(eng)
+        versions.append(eng.load_version)
+        eng.remove_flow(b)
+        self._assert_fresh(eng)
+        versions.append(eng.load_version)
+        assert versions == sorted(set(versions))
+        # No mutation, no re-evaluation: the same arrays come back.
+        assert eng.stall_now() is eng.stall_now()
+        assert eng.percent_bw_now() is eng.percent_bw_now()
+
+    def test_clocked_accumulate_reads_the_cache(self, torus):
+        clock = {"t": 0.0}
+        eng = FlowEngine(torus, clock=lambda: clock["t"])
+        eng.add_flow(0, 100, 6e9)
+        clock["t"] = 2.5
+        eng.accumulate_to()
+        delivered = delivered_bandwidth(eng.load, eng.capacity)
+        assert np.array_equal(eng.traffic, np.zeros_like(eng.traffic)
+                              + delivered * 2.5)
+        assert np.array_equal(eng.stall_ns, np.zeros_like(eng.stall_ns)
+                              + stall_fraction(eng.load, eng.capacity)
+                              * 2.5 * 1e9)
+        self._assert_fresh(eng)
+        clock["t"] = 4.0
+        eng.add_flow(2, 50, 1e9)  # integrates the old flow set first
+        self._assert_fresh(eng)
+        assert np.array_equal(eng.traffic, delivered * 2.5 + delivered * 1.5)
+
+    def test_cached_arrays_are_read_only(self, torus):
+        eng = FlowEngine(torus)
+        eng.add_flow(0, 100, 1e9)
+        for arr in (eng.stall_now(), eng.percent_bw_now()):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_touched_hop_clamp_equals_full_clip(self, torus, seed):
+        """Random adds, rate changes and removes: the load equals the
+        per-hop loop with a whole-array clip after each update."""
+        rng = np.random.default_rng(seed)
+        eng = FlowEngine(torus)
+        ref = np.zeros_like(eng.load)
+        live: dict[int, float] = {}
+        for _ in range(300):
+            op = rng.integers(3) if live else 0
+            if op == 0:
+                src, dst = (int(x) for x in rng.integers(torus.n_nodes, size=2))
+                bps = float(rng.uniform(0.0, 5e9))
+                fid = eng.add_flow(src, dst, bps)
+                for gem, d in eng._flow_objs[fid].hops:
+                    ref[gem, d] += bps
+                live[fid] = bps
+            else:
+                fid = list(live)[int(rng.integers(len(live)))]
+                hops = eng._flow_objs[fid].hops
+                if op == 1:
+                    bps = float(rng.uniform(0.0, 5e9))
+                    eng.set_flow_rate(fid, bps)
+                    delta = bps - live[fid]
+                    live[fid] = bps
+                else:
+                    eng.remove_flow(fid)
+                    delta = -live.pop(fid)
+                for gem, d in hops:
+                    ref[gem, d] += delta
+                np.clip(ref, 0.0, None, out=ref)
+            assert np.array_equal(eng.load, ref)
+        self._assert_fresh(eng)
+
+    def test_latency_uses_the_per_hop_stall(self, torus):
+        eng = FlowEngine(torus)
+        eng.add_flow(0, 100, 9e9)
+        eng.add_flow(3, 101, 2e9)
+        src_g, dst_g = torus.node_gemini(0), torus.node_gemini(100)
+        path = torus.route(src_g, dst_g)
+        worst = max(stall_fraction(float(eng.load[g, d]),
+                                   float(eng.capacity[g, d])) for g, d in path)
+        cap = min(float(eng.capacity[g, d]) for g, d in path)
+        expect = (torus.hop_count(src_g, dst_g) * 105e-9
+                  + 1024 / cap * (1.0 + 4.0 * worst))
+        assert eng.latency(0, 100, 1024) == expect
+
+
 class TestFatTree:
     def test_same_leaf_no_uplink(self):
         ft = FatTree(n_nodes=36, radix=18, uplinks=4)
